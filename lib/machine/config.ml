@@ -61,6 +61,18 @@ let make ?(issue_width = 1) ?(pipe_degree = 1) ?(units = [])
     ?(latencies = latency_table []) ?(branch_ends_packet = false) name =
   if issue_width < 1 then invalid_arg "Config.make: issue_width < 1";
   if pipe_degree < 1 then invalid_arg "Config.make: pipe_degree < 1";
+  (* a unit with no copies, or one that accepts no issue, can never
+     issue its classes: timing and scheduling would wait forever *)
+  List.iter
+    (fun u ->
+      if u.multiplicity < 1 then
+        invalid_arg
+          (Printf.sprintf "Config.make: unit %s: multiplicity < 1" u.unit_name);
+      if u.issue_latency < 1 then
+        invalid_arg
+          (Printf.sprintf "Config.make: unit %s: issue_latency < 1"
+             u.unit_name))
+    units;
   { name; issue_width; pipe_degree; latencies; units; temp_regs; home_regs;
     branch_ends_packet }
 

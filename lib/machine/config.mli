@@ -71,7 +71,8 @@ val make :
   t
 (** Defaults describe the base machine: single issue, degree 1, unit
     latencies, no structural constraints.  Raises [Invalid_argument] on
-    nonpositive width or degree. *)
+    nonpositive width or degree, and on a unit with nonpositive
+    multiplicity or issue latency (it could never issue). *)
 
 val scale_latencies : int array -> int -> int array
 (** Multiply every latency by the superpipelining degree: an operation

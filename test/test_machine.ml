@@ -41,6 +41,28 @@ let test_invalid_configs () =
   Alcotest.check_raises "zero degree" (Invalid_argument "Config.make: pipe_degree < 1")
     (fun () -> ignore (Config.make "bad" ~pipe_degree:0))
 
+let test_impossible_units () =
+  let mk ~issue_latency ~multiplicity =
+    Config.make "bad"
+      ~units:
+        [ { Config.unit_name = "alu";
+            classes = [ Iclass.Add_sub ];
+            issue_latency;
+            multiplicity;
+          } ]
+  in
+  Alcotest.check_raises "zero copies"
+    (Invalid_argument "Config.make: unit alu: multiplicity < 1") (fun () ->
+      ignore (mk ~issue_latency:1 ~multiplicity:0));
+  Alcotest.check_raises "zero issue latency"
+    (Invalid_argument "Config.make: unit alu: issue_latency < 1") (fun () ->
+      ignore (mk ~issue_latency:0 ~multiplicity:1));
+  Alcotest.check_raises "negative issue latency"
+    (Invalid_argument "Config.make: unit alu: issue_latency < 1") (fun () ->
+      ignore (mk ~issue_latency:(-2) ~multiplicity:2));
+  Alcotest.(check int) "smallest valid unit accepted" 1
+    (List.length (mk ~issue_latency:1 ~multiplicity:1).Config.units)
+
 let test_multititan_latencies () =
   let c = Presets.multititan in
   Alcotest.(check int) "logical 1" 1 (Config.latency c Iclass.Logical);
@@ -126,6 +148,7 @@ let tests =
     Alcotest.test_case "superpipelined" `Quick test_superpipelined;
     Alcotest.test_case "superpipelined superscalar" `Quick test_sps;
     Alcotest.test_case "invalid configs rejected" `Quick test_invalid_configs;
+    Alcotest.test_case "impossible units rejected" `Quick test_impossible_units;
     Alcotest.test_case "multititan latencies" `Quick test_multititan_latencies;
     Alcotest.test_case "cray1 latencies" `Quick test_cray1_latencies;
     Alcotest.test_case "table 2-1 averages" `Quick test_average_degree_table_2_1;

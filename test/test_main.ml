@@ -23,4 +23,5 @@ let () =
       ("check", Test_check.tests);
       ("memdep", Test_memdep.tests);
       ("range", Test_range.tests);
-      ("properties", Test_properties.tests) ]
+      ("properties", Test_properties.tests);
+      ("golden", Test_golden.tests) ]
