@@ -21,7 +21,22 @@
    - an optional data cache adds a blocking miss penalty (Section 5.1).
 
    Cycle counts are in minor cycles; [base_cycles] divides by the
-   superpipelining degree to express time in base-machine cycles. *)
+   superpipelining degree to express time in base-machine cycles.
+
+   Issue does not step through stalled cycles one at a time.  Every
+   hazard is a bound that stays fixed while the instruction waits: its
+   sources are ready at [max reg_ready.(use)], its writes complete in
+   order from [max reg_ready.(def) - latency], and a unit of its class
+   frees at [min free_at].  So [issue_decoded] computes the earliest
+   cycle [c] at which all three hold and jumps there in one step: the
+   open cycle is closed into its histogram slot, the [c - now - 1]
+   cycles skipped over issued nothing and go to slot 0, and every
+   skipped cycle is a stall.  A blocking cache miss is paid the same
+   way before the jump, and a full or branch-ended packet closes into
+   the next cycle without a stall.  The result is the cycle-by-cycle
+   model exactly; [test/timing_ref.ml] steps one cycle at a time and a
+   property test holds the two equal.  The path is plain loops over
+   arrays and allocates nothing per instruction. *)
 
 open Ilp_ir
 open Ilp_machine
@@ -50,7 +65,8 @@ type t = {
   config : Config.t;
   reg_ready : int array;
   pools : unit_pool list;  (** in [config.units] declaration order *)
-  pools_by_class : unit_pool list array;  (** indexed by class *)
+  pools_by_class : unit_pool array array;
+      (** indexed by class; each in declaration order *)
   mutable now : int;  (** current minor cycle *)
   mutable issued_this_cycle : int;
   mutable instrs : int;
@@ -78,7 +94,8 @@ let create ?cache ?(registers = Exec.default_options.Exec.registers)
   let pools_by_class =
     Array.init Iclass.count (fun idx ->
         let c = Iclass.of_index idx in
-        List.filter (fun p -> List.mem c p.spec.Config.classes) pools)
+        Array.of_list
+          (List.filter (fun p -> List.mem c p.spec.Config.classes) pools))
   in
   { config;
     reg_ready = Array.make registers 0;
@@ -166,107 +183,101 @@ let resume snap =
   in
   t
 
-let next_cycle t =
-  t.issue_histogram.(min t.issued_this_cycle
-                       (Array.length t.issue_histogram - 1)) <-
-    t.issue_histogram.(min t.issued_this_cycle
-                         (Array.length t.issue_histogram - 1))
-    + 1;
-  t.now <- t.now + 1;
+(* Close the open cycle and move to cycle [c > t.now]: the open cycle
+   lands in the histogram slot of its issue count, and each of the
+   [c - t.now - 1] cycles in between issued nothing. *)
+let advance_to t c =
+  let h = t.issue_histogram in
+  h.(t.issued_this_cycle) <- h.(t.issued_this_cycle) + 1;
+  h.(0) <- h.(0) + (c - t.now - 1);
+  t.now <- c;
   t.issued_this_cycle <- 0;
   t.force_cycle_end <- false
-
-(* Find a functional unit able to issue at [t.now]; [None] when the class
-   is unconstrained, [Some None] when all units are busy. *)
-let find_unit t cls =
-  match t.pools_by_class.(Iclass.to_index cls) with
-  | [] -> `Unconstrained
-  | pools ->
-      let rec search = function
-        | [] -> `Busy
-        | p :: rest ->
-            let rec scan i =
-              if i >= Array.length p.free_at then search rest
-              else if p.free_at.(i) <= t.now then `Free (p, i)
-              else scan (i + 1)
-            in
-            scan 0
-      in
-      search pools
-
-(* registers ready at or before [t.now]?  [regs] holds register
-   indices; plain loops, no allocation — this is the replay hot path. *)
-let regs_ready t (regs : int array) bound =
-  let ok = ref true in
-  for k = 0 to Array.length regs - 1 do
-    if t.reg_ready.(regs.(k)) > bound then ok := false
-  done;
-  !ok
 
 (* Account one dynamic instruction given its pre-decoded fields: class,
    load-ness, def/use register indices, and the effective address of a
    memory operation or -1.  [issue] decodes an [Instr.t] down to exactly
    this, so direct observation and trace replay share one code path and
-   produce identical timing. *)
+   produce identical timing.  This is the replay hot path: plain loops,
+   no closure and no allocation. *)
 let issue_decoded t ~cls ~is_load ~(defs : int array) ~(uses : int array)
     addr =
-  let latency = ref (Config.latency t.config cls) in
+  let cls_index = Iclass.to_index cls in
   (* a cache miss on a load lengthens its latency; on a store it only
      blocks the pipeline (write-allocate, blocking cache) *)
-  (match t.cache with
-  | Some cache when addr >= 0 ->
-      if not (Cache.access cache addr) then begin
-        if is_load then latency := !latency + Cache.miss_penalty cache
-        else
-          t.cache_stall_until <-
-            max t.cache_stall_until (t.now + Cache.miss_penalty cache)
-      end
-  | Some _ | None -> ());
-  let rec try_issue () =
-    if t.now < t.cache_stall_until then begin
-      (* blocking-cache stall: charge the skipped cycles as stalls and
-         close each of them normally, so the interrupted cycle and every
-         stalled cycle still land in the issue histogram *)
-      t.stall_cycles <- t.stall_cycles + (t.cache_stall_until - t.now);
-      while t.now < t.cache_stall_until do
-        next_cycle t
-      done
-    end;
-    if
-      t.issued_this_cycle >= t.config.Config.issue_width
-      || t.force_cycle_end
-    then begin
-      next_cycle t;
-      try_issue ()
-    end
-    else if
-      not (regs_ready t uses t.now && regs_ready t defs (t.now + !latency))
-    then begin
-      t.stall_cycles <- t.stall_cycles + 1;
-      next_cycle t;
-      try_issue ()
-    end
-    else
-      match find_unit t cls with
-      | `Busy ->
-          t.stall_cycles <- t.stall_cycles + 1;
-          next_cycle t;
-          try_issue ()
-      | `Unconstrained ->
-          Array.iter (fun d -> t.reg_ready.(d) <- t.now + !latency) defs;
-          t.issued_this_cycle <- t.issued_this_cycle + 1;
-          t.instrs <- t.instrs + 1;
-          if t.config.Config.branch_ends_packet && Iclass.is_control cls then
-            t.force_cycle_end <- true
-      | `Free (pool, idx) ->
-          pool.free_at.(idx) <- t.now + pool.spec.Config.issue_latency;
-          Array.iter (fun d -> t.reg_ready.(d) <- t.now + !latency) defs;
-          t.issued_this_cycle <- t.issued_this_cycle + 1;
-          t.instrs <- t.instrs + 1;
-          if t.config.Config.branch_ends_packet && Iclass.is_control cls then
-            t.force_cycle_end <- true
+  let latency =
+    let base = t.config.Config.latencies.(cls_index) in
+    match t.cache with
+    | Some cache when addr >= 0 && not (Cache.access cache addr) ->
+        let penalty = Cache.miss_penalty cache in
+        if is_load then base + penalty
+        else begin
+          t.cache_stall_until <- max t.cache_stall_until (t.now + penalty);
+          base
+        end
+    | Some _ | None -> base
   in
-  try_issue ()
+  (* blocking-cache stall: every cycle up to the horizon is a stall *)
+  if t.now < t.cache_stall_until then begin
+    t.stall_cycles <- t.stall_cycles + (t.cache_stall_until - t.now);
+    advance_to t t.cache_stall_until
+  end;
+  (* a full or branch-ended packet closes; waiting for the next one is
+     not a stall *)
+  if
+    t.issued_this_cycle >= t.config.Config.issue_width || t.force_cycle_end
+  then advance_to t (t.now + 1);
+  (* the earliest cycle at which sources are ready, writes complete in
+     order and a unit of the class is free *)
+  let reg_ready = t.reg_ready in
+  let c = ref t.now in
+  for k = 0 to Array.length uses - 1 do
+    let ready = reg_ready.(uses.(k)) in
+    if ready > !c then c := ready
+  done;
+  for k = 0 to Array.length defs - 1 do
+    let ready = reg_ready.(defs.(k)) - latency in
+    if ready > !c then c := ready
+  done;
+  let pools = t.pools_by_class.(cls_index) in
+  if Array.length pools > 0 then begin
+    let free = ref max_int in
+    for p = 0 to Array.length pools - 1 do
+      let free_at = pools.(p).free_at in
+      for i = 0 to Array.length free_at - 1 do
+        if free_at.(i) < !free then free := free_at.(i)
+      done
+    done;
+    if !free > !c then c := !free
+  end;
+  let c = !c in
+  if c > t.now then begin
+    t.stall_cycles <- t.stall_cycles + (c - t.now);
+    advance_to t c
+  end;
+  (* book the first unit free at [c], in declaration order; one exists
+     because [c] is at least the earliest [free_at] *)
+  let booked = ref (Array.length pools = 0) in
+  let p = ref 0 in
+  while not !booked do
+    let pool = pools.(!p) in
+    let i = ref 0 in
+    while (not !booked) && !i < Array.length pool.free_at do
+      if pool.free_at.(!i) <= c then begin
+        pool.free_at.(!i) <- c + pool.spec.Config.issue_latency;
+        booked := true
+      end;
+      incr i
+    done;
+    incr p
+  done;
+  for k = 0 to Array.length defs - 1 do
+    reg_ready.(defs.(k)) <- c + latency
+  done;
+  t.issued_this_cycle <- t.issued_this_cycle + 1;
+  t.instrs <- t.instrs + 1;
+  if t.config.Config.branch_ends_packet && Iclass.is_control cls then
+    t.force_cycle_end <- true
 
 let reg_indices regs = Array.of_list (List.map Reg.index regs)
 
@@ -309,11 +320,7 @@ let minor_cycles t =
    are expected afterwards. *)
 let finish t =
   if not t.finished then begin
-    let total = minor_cycles t in
-    next_cycle t;
-    while t.now < total do
-      next_cycle t
-    done;
+    advance_to t (minor_cycles t);
     t.finished <- true
   end
 

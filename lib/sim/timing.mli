@@ -18,7 +18,20 @@
       (Section 5.1).
 
     Counts are in minor cycles; {!base_cycles} divides by the
-    superpipelining degree. *)
+    superpipelining degree.
+
+    Stalls are skipped, not stepped through.  While an instruction
+    waits, each of its hazards is a fixed bound: sources ready at
+    [max reg_ready.(use)], in-order writes from
+    [max reg_ready.(def) - latency], a unit of its class free at
+    [min free_at].  {!issue_decoded} jumps straight to the earliest
+    cycle [c] at which all of them hold.  The open cycle is closed into
+    the histogram slot of its issue count, the [c - now - 1] cycles in
+    between go to slot 0, and all [c - now] count as stall cycles.  A
+    blocking cache miss is paid the same way first, and a full or
+    branch-ended packet moves to the next cycle without a stall.  The
+    outcome is exactly that of stepping one minor cycle at a time, and
+    the path allocates nothing per instruction. *)
 
 open Ilp_machine
 
@@ -39,7 +52,8 @@ type t = {
   config : Config.t;
   reg_ready : int array;
   pools : unit_pool list;  (** in [config.units] declaration order *)
-  pools_by_class : unit_pool list array;
+  pools_by_class : unit_pool array array;
+      (** indexed by class: the pools serving it, in declaration order *)
   mutable now : int;  (** current minor cycle *)
   mutable issued_this_cycle : int;
   mutable instrs : int;
@@ -97,7 +111,14 @@ val issue_decoded :
 (** Like {!issue}, but from pre-decoded fields: instruction class,
     whether it is a load, and def/use register {e indices}.  {!issue} is
     exactly this after decoding, so a trace replay that feeds the same
-    decoded stream produces bit-identical timing. *)
+    decoded stream produces bit-identical timing.
+
+    The instruction issues in the earliest cycle at which the cache
+    horizon has passed, its packet has room, its sources are ready, its
+    writes complete in order and a unit of its class is free; the model
+    jumps there in one step (see the module header).  It books the
+    first such unit in declaration order.  After the call, [t.now] is
+    the minor cycle the instruction issued in. *)
 
 val observer : t -> Exec.observer
 

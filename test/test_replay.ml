@@ -261,6 +261,33 @@ let test_footprint_reported () =
   Alcotest.(check bool) "bounded by dynamic memory accesses" true
     (Trace_buffer.footprint_words trace < Trace_buffer.dyn_instrs trace * 4)
 
+(* The replay hot path allocates nothing per dynamic instruction: the
+   whole [measure_replay] call, preparation included, stays under one
+   minor word per replayed instruction.  A per-instruction closure,
+   boxed result or captured [ref] in [Timing.issue_decoded] costs
+   several words each and fails this. *)
+let test_replay_allocation () =
+  let w =
+    match Ilp_workloads.Registry.find "linpack" with
+    | Some w -> w
+    | None -> Alcotest.fail "no linpack workload"
+  in
+  let pre = Ilp_core.Ilp.compile_unscheduled ~level Presets.base w.W.source in
+  let trace = Trace_buffer.capture pre in
+  List.iter
+    (fun (config, cache) ->
+      let binary = Ilp_core.Ilp.schedule ~level config pre in
+      let before = Gc.minor_words () in
+      let run = Metrics.measure_replay ?cache config trace binary in
+      let per_instr =
+        (Gc.minor_words () -. before) /. float_of_int run.Metrics.dyn_instrs
+      in
+      if per_instr >= 1.0 then
+        Alcotest.failf "%s on %s: %.3f minor words per replayed instruction"
+          w.W.name config.Config.name per_instr)
+    [ (Presets.superpipelined 8, None);
+      (Presets.superscalar_with_class_conflicts 4, Some (fresh_cache ())) ]
+
 let tests =
   [ Alcotest.test_case "replay = direct with cache" `Slow
       test_replay_with_cache;
@@ -273,5 +300,7 @@ let tests =
       test_measure_replay_equals_measure;
     Alcotest.test_case "foreign binary diverges" `Quick
       test_divergence_on_foreign_binary;
-    Alcotest.test_case "trace footprint" `Quick test_footprint_reported ]
+    Alcotest.test_case "trace footprint" `Quick test_footprint_reported;
+    Alcotest.test_case "replay allocates < 1 word per instruction" `Quick
+      test_replay_allocation ]
   @ workload_tests
