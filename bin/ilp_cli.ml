@@ -231,8 +231,7 @@ let run_cmd =
       "With $(b,--replay): cut the replay into segments of $(docv) dynamic \
        instructions, checkpointing and resuming the timing model at each \
        boundary.  Results are bit-identical to an unsegmented replay for \
-       any segment size; this exercises the segmented engine the parallel \
-       sweeps schedule."
+       any segment size."
     in
     Arg.(value & opt (some int) None & info [ "segment" ] ~docv:"N" ~doc)
   in

@@ -26,17 +26,28 @@ let kind_reg = 1
 let kind_mem = 2
 let kind_order = 4
 
+(* The edge table: one entry per (src, dst) pair, keyed [src * n + dst],
+   holding the edge's weight shifted past its kind bits. *)
+module Edges = Hashtbl.Make (Int)
+
+let kind_bits = 3
+let kind_mask = (1 lsl kind_bits) - 1
+
+type edges = { n_nodes : int; table : int Edges.t }
+
 type t = {
   instrs : Instr.t array;
   succs : (int * int) list array;  (** (dst, weight) *)
   preds : (int * int) list array;  (** (src, weight) *)
   n_edges : int;
-  kinds : (int * int, int) Hashtbl.t;
+  kinds : edges;
   n_pruned : int;
 }
 
 let edge_kinds t ~src ~dst =
-  Option.value (Hashtbl.find_opt t.kinds (src, dst)) ~default:0
+  match Edges.find_opt t.kinds.table ((src * t.kinds.n_nodes) + dst) with
+  | Some v -> v land kind_mask
+  | None -> 0
 
 let mem_of (i : Instr.t) =
   match i.Instr.mem with Some m -> m | None -> Mem_info.unknown
@@ -46,19 +57,21 @@ let build ?classify (config : Config.t) (instrs : Instr.t list) =
   let n = Array.length instrs in
   let succs = Array.make n [] in
   let preds = Array.make n [] in
-  let edge_set : (int * int, int) Hashtbl.t = Hashtbl.create (4 * n) in
-  let kinds : (int * int, int) Hashtbl.t = Hashtbl.create (4 * n) in
+  let edges = Edges.create (4 * n) in
   let n_edges = ref 0 in
   let n_pruned = ref 0 in
+  (* a pair carrying several hazards keeps the largest weight and the
+     union of their kinds *)
   let add_edge ~kind src dst weight =
     if src <> dst then begin
-      Hashtbl.replace kinds (src, dst)
-        (kind lor Option.value (Hashtbl.find_opt kinds (src, dst)) ~default:0);
-      match Hashtbl.find_opt edge_set (src, dst) with
-      | Some w when w >= weight -> ()
-      | Some _ -> Hashtbl.replace edge_set (src, dst) weight
+      let key = (src * n) + dst in
+      match Edges.find_opt edges key with
+      | Some v ->
+          let w = max weight (v asr kind_bits) in
+          Edges.replace edges key
+            ((w lsl kind_bits) lor (v land kind_mask) lor kind)
       | None ->
-          Hashtbl.replace edge_set (src, dst) weight;
+          Edges.add edges key ((weight lsl kind_bits) lor kind);
           incr n_edges
     end
   in
@@ -136,12 +149,19 @@ let build ?classify (config : Config.t) (instrs : Instr.t list) =
           Hashtbl.replace uses_since (Reg.index d) [])
         (Instr.defs i))
     instrs;
-  Hashtbl.iter
-    (fun (src, dst) weight ->
+  Edges.iter
+    (fun key v ->
+      let src = key / n and dst = key mod n and weight = v asr kind_bits in
       succs.(src) <- (dst, weight) :: succs.(src);
       preds.(dst) <- (src, weight) :: preds.(dst))
-    edge_set;
-  { instrs; succs; preds; n_edges = !n_edges; kinds; n_pruned = !n_pruned }
+    edges;
+  { instrs;
+    succs;
+    preds;
+    n_edges = !n_edges;
+    kinds = { n_nodes = n; table = edges };
+    n_pruned = !n_pruned;
+  }
 
 (* Critical-path height of each node: the longest weighted path to any
    sink, plus the node's own latency.  Used as list-scheduling priority.

@@ -17,6 +17,11 @@
 open Ilp_ir
 open Ilp_machine
 
+type edges
+(** Per (src, dst): the union of {!kind_reg}, {!kind_mem} and
+    {!kind_order} bits that contributed the edge; read it with
+    {!edge_kinds}. *)
+
 type t = {
   instrs : Instr.t array;
   succs : (int * int) list array;  (** (successor, weight) *)
@@ -24,9 +29,7 @@ type t = {
   n_edges : int;
       (** distinct (src, dst) pairs — a pair carrying several hazards
           (say RAW and WAW) is one edge at the largest weight *)
-  kinds : (int * int, int) Hashtbl.t;
-      (** per (src, dst): the union of {!kind_reg}, {!kind_mem},
-          {!kind_order} bits that contributed the edge *)
+  kinds : edges;
   n_pruned : int;
       (** memory-hazard pairs the classifier proved [No_alias] where the
           region annotations alone could not — serialization edges the

@@ -34,22 +34,31 @@ let measure ?cache ?options (config : Config.t) program =
     sink = outcome.Exec.sink;
   }
 
-(* Time [program] against [config] by replaying a captured trace instead
-   of re-interpreting; bit-identical to [measure] of the same program
-   (see Trace_buffer). *)
-let measure_replay ?cache ?options (config : Config.t) trace program =
-  let timing = Timing.create ?cache ~registers:(registers_of options) config in
-  Trace_buffer.replay trace program timing;
+let finish_run (config : Config.t) pr timing =
   Timing.finish timing;
+  let sm = Trace_buffer.summary pr in
   { machine = config.Config.name;
-    dyn_instrs = Trace_buffer.dyn_instrs trace;
+    dyn_instrs = sm.Trace_buffer.s_dyn_instrs;
     minor_cycles = Timing.minor_cycles timing;
     base_cycles = Timing.base_cycles timing;
     speedup = Timing.speedup timing;
     stall_cycles = timing.Timing.stall_cycles;
-    class_counts = Trace_buffer.class_counts trace;
-    sink = Trace_buffer.sink trace;
+    class_counts = sm.Trace_buffer.s_class_counts;
+    sink = sm.Trace_buffer.s_sink;
   }
+
+(* Time a bound binary against [config] by replaying its flat trace. *)
+let measure_prepared ?cache ?options (config : Config.t) pr =
+  let timing = Timing.create ?cache ~registers:(registers_of options) config in
+  Trace_buffer.replay_steps pr (Trace_buffer.start pr) timing
+    ~max_steps:max_int;
+  finish_run config pr timing
+
+(* Time [program] against [config] by replaying a captured trace instead
+   of re-interpreting; bit-identical to [measure] of the same program
+   (see Trace_buffer). *)
+let measure_replay ?cache ?options (config : Config.t) trace program =
+  measure_prepared ?cache ?options config (Trace_buffer.prepare trace program)
 
 (* ---- Segmented replay ---------------------------------------------- *)
 
@@ -59,44 +68,27 @@ let measure_replay ?cache ?options (config : Config.t) trace program =
    scheduler can interleave. *)
 let default_segment = 1 lsl 17
 
-(* A replay in flight, paused at a packet boundary.  The prepared
-   binary and the trace are shared immutable data; the cursor is
-   single-owner mutable state and the snapshot is plain copied data, so
-   a chain of [replay_segmented_step] calls may hop between domains as
-   long as each handoff orders the previous step before the next (a
+(* A replay in flight, paused at an instruction boundary.  The prepared
+   binary is shared immutable data; the cursor is single-owner mutable
+   state and the snapshot is plain copied data, so a chain of
+   [replay_segmented_step] calls may hop between domains as long as
+   each handoff orders the previous step before the next (a
    work-stealing pool's deque does exactly that). *)
 type segmented = {
   sg_config : Config.t;
-  sg_trace : Trace_buffer.t;
   sg_prepared : Trace_buffer.prepared;
   sg_cursor : Trace_buffer.cursor;
   sg_snap : Timing.snapshot;
   sg_segment : int;
 }
 
-let finish_run (config : Config.t) trace timing =
-  Timing.finish timing;
-  { machine = config.Config.name;
-    dyn_instrs = Trace_buffer.dyn_instrs trace;
-    minor_cycles = Timing.minor_cycles timing;
-    base_cycles = Timing.base_cycles timing;
-    speedup = Timing.speedup timing;
-    stall_cycles = timing.Timing.stall_cycles;
-    class_counts = Trace_buffer.class_counts trace;
-    sink = Trace_buffer.sink trace;
-  }
-
-(* Advance one segment on [timing] and package the outcome.  The +1 on
-   the final comparison is unnecessary here (unlike [replay]) because an
-   overrunning walk raises inside [replay_steps] on the segment that
-   crosses the trace length. *)
-let seg_advance config trace pr cu segment timing =
+(* Advance one segment on [timing] and package the outcome. *)
+let seg_advance config pr cu segment timing =
   Trace_buffer.replay_steps pr cu timing ~max_steps:segment;
-  if Trace_buffer.cursor_done cu then `Done (finish_run config trace timing)
+  if Trace_buffer.cursor_done cu then `Done (finish_run config pr timing)
   else
     `More
       { sg_config = config;
-        sg_trace = trace;
         sg_prepared = pr;
         sg_cursor = cu;
         sg_snap = Timing.snapshot timing;
@@ -109,11 +101,11 @@ let replay_segmented_start ?cache ?options ?(segment = default_segment)
   let pr = Trace_buffer.prepare trace program in
   let cu = Trace_buffer.start pr in
   let timing = Timing.create ?cache ~registers:(registers_of options) config in
-  seg_advance config trace pr cu segment timing
+  seg_advance config pr cu segment timing
 
 let replay_segmented_step sg =
-  seg_advance sg.sg_config sg.sg_trace sg.sg_prepared sg.sg_cursor
-    sg.sg_segment (Timing.resume sg.sg_snap)
+  seg_advance sg.sg_config sg.sg_prepared sg.sg_cursor sg.sg_segment
+    (Timing.resume sg.sg_snap)
 
 (* The sequential driver: equivalent to [measure_replay], exercising the
    same segment chain a parallel scheduler would. *)

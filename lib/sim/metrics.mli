@@ -37,7 +37,18 @@ val measure_replay :
     instead of re-interpreting.  Bit-identical to {!measure} of the same
     program when the trace was captured from a schedule-sibling of
     [program] (raises {!Trace_buffer.Divergence} otherwise);
-    [options] only contributes the register-file size. *)
+    [options] only contributes the register-file size.  Same as
+    {!measure_prepared} of {!Trace_buffer.prepare}. *)
+
+val measure_prepared :
+  ?cache:Cache.t ->
+  ?options:Exec.options ->
+  Config.t ->
+  Trace_buffer.prepared ->
+  run
+(** Time a binary already bound to a flat trace ({!Trace_buffer.bind})
+    against [config]: the sweep engine flattens each capture once and
+    binds every schedule of it. *)
 
 (** {1 Segmented replay}
 

@@ -31,7 +31,11 @@
     blocking cache miss is paid the same way first, and a full or
     branch-ended packet moves to the next cycle without a stall.  The
     outcome is exactly that of stepping one minor cycle at a time, and
-    the path allocates nothing per instruction. *)
+    the path allocates nothing per instruction.
+
+    {!issue}, {!issue_decoded} and the flat replay loop {!replay_flat}
+    share one issue step, so direct observation and trace replay give
+    identical timing. *)
 
 open Ilp_machine
 
@@ -119,6 +123,66 @@ val issue_decoded :
     jumps there in one step (see the module header).  It books the
     first such unit in declaration order.  After the call, [t.now] is
     the minor cycle the instruction issued in. *)
+
+(** {1 Flat replay}
+
+    {!Trace_buffer} replays a captured trace from two flat, off-heap
+    arrays: the dynamic sequence of {e issue segments} visited (runs of
+    a basic block that end at a call, another control transfer or the
+    block's end, whose instruction set no schedule changes) and, per
+    visit, the memory addresses of the segment's loads and stores.  It
+    binds a scheduled binary to that form as a {!flat_code}: each
+    segment's instructions in the binary's own order, decoded down to
+    class index, load and control flags, the slot's rank among the
+    visit's addresses, and one flat register list.
+
+    {!replay_flat} is the loop over this form.  It lives here rather
+    than in {!Trace_buffer} because the dev profile compiles with
+    [-opaque]: across modules, every per-instruction call would be a
+    generic application, while inside this module the issue step that
+    {!issue} and {!issue_decoded} use is inlined into the loop.  The
+    loop allocates nothing. *)
+
+type flat_code = {
+  fc_seg_first : int array;  (** per segment: its first slot *)
+  fc_seg_len : int array;  (** per segment: its instruction count *)
+  fc_seg_mem : int array;  (** per segment: address entries per visit *)
+  fc_cls : int array;
+      (** per slot: class index ({!Ilp_ir.Iclass.to_index}) *)
+  fc_flags : int array;  (** per slot: {!flag_load}, {!flag_control} bits *)
+  fc_mrank : int array;
+      (** per slot: the instruction's entry within its segment visit's
+          addresses, or -1 *)
+  fc_reg_first : int array;
+      (** per slot, plus one past the end: where the slot's registers
+          start in [fc_regs], destinations first *)
+  fc_ndefs : int array;  (** per slot: destination register count *)
+  fc_regs : int array;  (** every slot's register indices, concatenated *)
+}
+
+val flag_load : int
+val flag_control : int
+
+type visits = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
+(** Segment numbers, one per dynamic visit. *)
+
+type addresses = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+(** Effective addresses: each visit's block of [fc_seg_mem] entries, in
+    visit order. *)
+
+type flat_walk = {
+  mutable fw_visit : int;  (** next segment visit *)
+  mutable fw_offset : int;  (** instructions of that visit already issued *)
+  mutable fw_abase : int;  (** its first entry in the addresses *)
+  mutable fw_steps : int;  (** dynamic instructions issued so far *)
+}
+
+val replay_flat :
+  t -> flat_code -> visits -> addresses -> flat_walk -> max_steps:int -> unit
+(** Issue up to [max_steps] further dynamic instructions from the walk's
+    position, advancing it; a walk may stop and resume at any
+    instruction.  Each instruction goes through the same issue step as
+    {!issue_decoded}. *)
 
 val observer : t -> Exec.observer
 

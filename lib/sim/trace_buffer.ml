@@ -23,12 +23,26 @@
    [Trace.capture]'s list of records, this representation holds 10^7+
    entries in a few megabytes.
 
-   [replay] then drives a [Timing.t] from the buffer over *any* sibling
-   schedule of the captured program — the binary is walked as flattened
-   threaded code, each instruction pre-decoded for [Timing.issue_decoded],
-   with control transfers resolved from the recorded taken bits instead
-   of re-interpreting the program.  Any mismatch between the buffer and
-   the binary raises [Divergence] rather than producing wrong timings. *)
+   Replay works on a flat form of the trace.  An *issue segment* is a
+   run of a basic block that ends at a call, at another control
+   transfer or at the block's end.  Ddg makes calls barriers and keeps
+   terminators last, so a segment holds the same instructions in every
+   schedule, only their order changes.  [flatten] walks the captured
+   program once, following the recorded taken bits, checking every
+   stream as it goes, and keeps two arrays, both exact-size and off the
+   OCaml heap: the dynamic sequence of segment visits, and each visit's
+   memory addresses (one entry per load or store of the segment, in the
+   captured order).  The per-instruction streams can then be dropped.
+
+   [bind] lays one scheduled binary over the flat form: it checks that
+   every instruction stays in its segment, once, and that control
+   leaves every segment the same way, then decodes the binary in its
+   own order for [Timing.replay_flat], the loop that issues it.  That
+   loop lives in [Timing] because the dev profile compiles with
+   [-opaque], under which a loop here would reach the issue step
+   through a generic application per instruction.  Any mismatch
+   between the trace and the binary raises [Divergence] rather than
+   producing wrong timings. *)
 
 open Ilp_ir
 
@@ -74,6 +88,50 @@ module Bitvec = struct
     (v.data.(i / bits_per_word) lsr (i mod bits_per_word)) land 1 = 1
 end
 
+module Int_table = Hashtbl.Make (Int)
+
+type summary = {
+  s_dyn_instrs : int;
+  s_sink : Value.t;
+  s_class_counts : int array;
+}
+
+(* How control leaves an issue segment: the kind of its last
+   instruction, or [Fall] when the segment ends at its block's end. *)
+type kind = Fall | Branch | Jump | Call | Ret | Halt
+
+(* The issue segments of one program, numbered in layout order
+   (functions in program order, blocks in layout order, each block cut
+   after every control instruction), with the control flow between
+   them. *)
+type shape = {
+  sh_code : Instr.t array;  (** every instruction, in flat static order *)
+  sh_seg_first : int array;  (** per segment: flat position of its first *)
+  sh_seg_len : int array;
+  sh_kind : kind array;
+  sh_next : int array;
+      (** per segment: the segment that follows it in its function, or -1 *)
+  sh_target : int array;
+      (** per segment: the segment its final branch, jump or call
+          reaches, or -1 *)
+  sh_entry : int;  (** the segment [main] starts with, or -1 *)
+}
+
+(* A trace flattened over its captured program: the segment table, each
+   instruction's segment and memory rank, and the dynamic visits and
+   addresses off the OCaml heap. *)
+type flat = {
+  f_summary : summary;
+  f_shape : shape;
+  f_pos_of_id : int Int_table.t;  (** [Instr.id] -> flat position *)
+  f_seg_of_pos : int array;
+  f_rank : int array;
+      (** per position: its entry within a visit's addresses, or -1 *)
+  f_seg_mem : int array;  (** per segment: address entries per visit *)
+  f_visits : Timing.visits;
+  f_addrs : Timing.addresses;
+}
+
 type t = {
   dyn_instrs : int;
   sink : Value.t;
@@ -82,6 +140,8 @@ type t = {
       (** [Instr.id] -> effective addresses, in execution order *)
   branches : (int, Bitvec.t) Hashtbl.t;
       (** [Instr.id] -> taken bits, in execution order *)
+  program : Program.t;  (** the program the streams belong to *)
+  flat : flat option Atomic.t;  (** [flatten]'s result, once computed *)
 }
 
 let dyn_instrs t = t.dyn_instrs
@@ -280,6 +340,8 @@ let unpack pk (p : Program.t) =
     class_counts = Array.copy pk.p_class_counts;
     addrs;
     branches;
+    program = p;
+    flat = Atomic.make None;
   }
 
 let capture ?options ?(observers = []) (p : Program.t) =
@@ -316,44 +378,31 @@ let capture ?options ?(observers = []) (p : Program.t) =
     class_counts = Array.copy outcome.Exec.class_counts;
     addrs;
     branches;
+    program = p;
+    flat = Atomic.make None;
   }
 
-(* instruction kinds in the flattened binary *)
-let k_fall = 0
 
-let k_branch = 1
+(* ---- issue segments ------------------------------------------------- *)
 
-let k_jump = 2
+let kind_of (i : Instr.t) =
+  match i.Instr.op with
+  | Opcode.Beq | Opcode.Bne | Opcode.Blt | Opcode.Ble | Opcode.Bgt
+  | Opcode.Bge ->
+      Branch
+  | Opcode.Jmp -> Jump
+  | Opcode.Call -> Call
+  | Opcode.Ret -> Ret
+  | Opcode.Halt -> Halt
+  | _ -> Fall
 
-let k_call = 3
-
-let k_ret = 4
-
-let k_halt = 5
-
-(* A trace bound to one concrete binary: every static instruction
-   pre-decoded for [Timing.issue_decoded], the control structure
-   flattened to threaded code, and the recorded address/taken-bit
-   streams attached to their instructions.  Building this is the per-
-   (trace, binary) cost; walking it is the per-dynamic-instruction
-   cost, and the walk can be cut into segments at any instruction
-   boundary (see [cursor]). *)
-type prepared = {
-  pr_trace : t;
-  pr_n : int;  (* static instructions in the flattened binary *)
-  pr_entry : int;
-  pr_cls : Iclass.t array;
-  pr_is_load : bool array;
-  pr_defs : int array array;
-  pr_uses : int array array;
-  pr_kind : int array;
-  pr_next : int array;
-  pr_target : int array;
-  pr_addr_stream : Ivec.t option array;
-  pr_bit_stream : Bitvec.t option array;
-}
-
-let prepare t (p : Program.t) =
+(* Cut [p] into issue segments and resolve the control flow between
+   them the way Exec does: a label names its block, every function name
+   aliases its entry block, and control entering an empty block falls
+   through to the next block with instructions.  A target that does not
+   resolve stays -1; that is only an error if control reaches it (Exec
+   faults lazily the same way). *)
+let shape (p : Program.t) =
   let functions = Array.of_list p.Program.functions in
   let code =
     Array.map
@@ -362,27 +411,44 @@ let prepare t (p : Program.t) =
           (List.map (fun b -> Array.of_list b.Block.instrs) f.Func.blocks))
       functions
   in
-  (* flat numbering of every instruction *)
-  let base = Array.map (fun blocks -> Array.make (Array.length blocks) 0) code in
-  let n = ref 0 in
+  (* segments in layout order; [block_seg]: a block's first segment, or
+     -1 for an empty block *)
+  let block_seg =
+    Array.map (fun blocks -> Array.make (Array.length blocks) (-1)) code
+  in
+  let firsts = Ivec.create () and lens = Ivec.create () in
+  let kinds = ref [] and fns = Ivec.create () in
+  let pos = ref 0 in
   Array.iteri
     (fun fn blocks ->
       Array.iteri
         (fun blk instrs ->
-          base.(fn).(blk) <- !n;
-          n := !n + Array.length instrs)
+          let n = Array.length instrs in
+          if n > 0 then block_seg.(fn).(blk) <- firsts.Ivec.len;
+          let start = ref 0 in
+          Array.iteri
+            (fun k i ->
+              let kind = kind_of i in
+              if kind <> Fall || k = n - 1 then begin
+                Ivec.push firsts (!pos + !start);
+                Ivec.push lens (k + 1 - !start);
+                kinds := kind :: !kinds;
+                Ivec.push fns fn;
+                start := k + 1
+              end)
+            instrs;
+          pos := !pos + n)
         blocks)
     code;
-  let n = !n in
-  (* normalized start of block [blk]: Exec falls through empty blocks;
-     -1 when that runs off the end of the function *)
+  let contents (v : Ivec.t) = Array.sub v.Ivec.data 0 v.Ivec.len in
+  let seg_first = contents firsts and seg_len = contents lens in
+  let seg_kind = Array.of_list (List.rev !kinds) and seg_fn = contents fns in
+  let n_segs = Array.length seg_first in
   let rec norm fn blk =
     if blk >= Array.length code.(fn) then -1
-    else if Array.length code.(fn).(blk) > 0 then base.(fn).(blk)
+    else if block_seg.(fn).(blk) >= 0 then block_seg.(fn).(blk)
     else norm fn (blk + 1)
   in
-  (* label resolution, mirroring Exec.resolve: blocks first, then every
-     function name aliased to its entry block *)
   let label_pos : (string, int * int) Hashtbl.t = Hashtbl.create 256 in
   Array.iteri
     (fun fn (f : Func.t) ->
@@ -407,205 +473,334 @@ let prepare t (p : Program.t) =
     | Some (fn, blk) -> norm fn blk
     | None -> divergence "program has no main function"
   in
-  (* pre-decode every static instruction *)
-  let cls = Array.make n Iclass.Move in
-  let is_load = Array.make n false in
-  let defs = Array.make n [||] in
-  let uses = Array.make n [||] in
-  let kind = Array.make n k_fall in
-  let next = Array.make n (-1) in
-  let target = Array.make n (-1) in
-  let addr_stream = Array.make n None in
-  let bit_stream = Array.make n None in
-  let matched_addrs = ref 0 and matched_bits = ref 0 in
-  let reg_indices regs = Array.of_list (List.map Reg.index regs) in
-  (* a target that does not resolve stays -1; that is only an error if
-     control actually reaches it (Exec faults lazily the same way) *)
-  let resolve_target (i : Instr.t) =
-    match i.Instr.target with
-    | None -> -1
+  let sh_code =
+    Array.concat (List.concat_map Array.to_list (Array.to_list code))
+  in
+  let target s =
+    match sh_code.(seg_first.(s) + seg_len.(s) - 1).Instr.target with
     | Some l -> (
         match Hashtbl.find_opt label_pos (Label.to_string l) with
         | Some (fn, blk) -> norm fn blk
         | None -> -1)
+    | None -> -1
   in
+  { sh_code;
+    sh_seg_first = seg_first;
+    sh_seg_len = seg_len;
+    sh_kind = seg_kind;
+    sh_next =
+      Array.init n_segs (fun s ->
+          if s + 1 < n_segs && seg_fn.(s + 1) = seg_fn.(s) then s + 1 else -1);
+    sh_target = Array.init n_segs target;
+    sh_entry = entry;
+  }
+
+(* ---- flattening ------------------------------------------------------ *)
+
+(* Follow the recorded control flow through [sh] from its entry, segment
+   by segment, calling [visit s] for every visit of segment [s] (Exec's
+   semantics: a call returns to the segment after it, a return with an
+   empty stack or a halt ends the run).  Raises [Divergence] where the
+   taken bits or the trace length disagree with the program. *)
+let follow t sh (bit_stream : Bitvec.t option array) ~visit =
+  let bcur = Array.make (Array.length sh.sh_code) 0 in
+  let steps = ref 0 and stack = ref [] and seg = ref sh.sh_entry in
+  let running = ref (Array.length sh.sh_code > 0 && t.dyn_instrs > 0) in
+  while !running do
+    let s = !seg in
+    if s < 0 then divergence "replay fell off the end of a function";
+    steps := !steps + sh.sh_seg_len.(s);
+    if !steps > t.dyn_instrs then
+      divergence "replay exceeds the captured trace (%d instructions)"
+        t.dyn_instrs;
+    visit s;
+    match sh.sh_kind.(s) with
+    | Fall -> seg := sh.sh_next.(s)
+    | Branch -> (
+        let last = sh.sh_seg_first.(s) + sh.sh_seg_len.(s) - 1 in
+        match bit_stream.(last) with
+        | None -> divergence "conditional branch has no recorded outcomes"
+        | Some v ->
+            let c = bcur.(last) in
+            if c >= v.Bitvec.len then
+              divergence "branch history exhausted after %d outcomes" c;
+            bcur.(last) <- c + 1;
+            seg := if Bitvec.get v c then sh.sh_target.(s) else sh.sh_next.(s))
+    | Jump -> seg := sh.sh_target.(s)
+    | Call ->
+        stack := sh.sh_next.(s) :: !stack;
+        seg := sh.sh_target.(s)
+    | Ret -> (
+        match !stack with
+        | ra :: rest ->
+            stack := rest;
+            seg := ra
+        | [] -> running := false)
+    | Halt -> running := false
+  done;
+  (* the walk has halted: every recorded outcome must have been used *)
+  if !steps <> t.dyn_instrs then
+    divergence "replayed %d instructions of a %d-instruction trace" !steps
+      t.dyn_instrs;
   Array.iteri
-    (fun fn blocks ->
-      Array.iteri
-        (fun blk instrs ->
-          Array.iteri
-            (fun ins (i : Instr.t) ->
-              let k = base.(fn).(blk) + ins in
-              cls.(k) <- Instr.iclass i;
-              is_load.(k) <- Instr.is_load i;
-              defs.(k) <- reg_indices (Instr.defs i);
-              uses.(k) <- reg_indices (Instr.uses i);
-              next.(k) <-
-                (if ins + 1 < Array.length instrs then k + 1
-                 else norm fn (blk + 1));
-              (match Hashtbl.find_opt t.addrs i.Instr.id with
-              | Some v ->
-                  addr_stream.(k) <- Some v;
-                  incr matched_addrs
-              | None -> ());
-              (match Hashtbl.find_opt t.branches i.Instr.id with
-              | Some v ->
-                  bit_stream.(k) <- Some v;
-                  incr matched_bits
-              | None -> ());
-              match i.Instr.op with
-              | Opcode.Beq | Opcode.Bne | Opcode.Blt | Opcode.Ble
-              | Opcode.Bgt | Opcode.Bge ->
-                  kind.(k) <- k_branch;
-                  target.(k) <- resolve_target i
-              | Opcode.Jmp ->
-                  kind.(k) <- k_jump;
-                  target.(k) <- resolve_target i
-              | Opcode.Call ->
-                  kind.(k) <- k_call;
-                  target.(k) <- resolve_target i
-              | Opcode.Ret -> kind.(k) <- k_ret
-              | Opcode.Halt -> kind.(k) <- k_halt
-              | _ -> kind.(k) <- k_fall)
-            instrs)
-        blocks)
-    code;
+    (fun pos -> function
+      | Some (v : Bitvec.t) when bcur.(pos) <> v.Bitvec.len ->
+          divergence "branch history consumed partially (%d of %d)" bcur.(pos)
+            v.Bitvec.len
+      | _ -> ())
+    bit_stream
+
+(* The checked walk of the captured program, twice over: once to count
+   the segment visits, so that both off-heap arrays are allocated once
+   at their exact size, and once to fill them, consuming every address
+   stream in execution order. *)
+let walk t =
+  let sh = shape t.program in
+  let n = Array.length sh.sh_code in
+  let n_segs = Array.length sh.sh_seg_first in
+  let pos_of_id = Int_table.create (max 16 n) in
+  Array.iteri
+    (fun pos (i : Instr.t) -> Int_table.replace pos_of_id i.Instr.id pos)
+    sh.sh_code;
+  let addr_stream = Array.make n None and bit_stream = Array.make n None in
+  let matched_addrs = ref 0 and matched_bits = ref 0 in
+  Array.iteri
+    (fun pos (i : Instr.t) ->
+      (match Hashtbl.find_opt t.addrs i.Instr.id with
+      | Some v ->
+          addr_stream.(pos) <- Some v;
+          incr matched_addrs
+      | None -> ());
+      match Hashtbl.find_opt t.branches i.Instr.id with
+      | Some v ->
+          bit_stream.(pos) <- Some v;
+          incr matched_bits
+      | None -> ())
+    sh.sh_code;
   if !matched_addrs <> Hashtbl.length t.addrs then
     divergence
-      "the replayed binary does not contain every traced memory \
+      "the traced program does not contain every traced memory \
        instruction (%d of %d streams bound)"
       !matched_addrs (Hashtbl.length t.addrs);
   if !matched_bits <> Hashtbl.length t.branches then
     divergence
-      "the replayed binary does not contain every traced branch (%d of %d \
+      "the traced program does not contain every traced branch (%d of %d \
        streams bound)"
       !matched_bits
       (Hashtbl.length t.branches);
-  { pr_trace = t;
-    pr_n = n;
-    pr_entry = entry;
-    pr_cls = cls;
-    pr_is_load = is_load;
-    pr_defs = defs;
-    pr_uses = uses;
-    pr_kind = kind;
-    pr_next = next;
-    pr_target = target;
-    pr_addr_stream = addr_stream;
-    pr_bit_stream = bit_stream;
+  (* a memory instruction's rank: its entry within each visit's block of
+     addresses, in the captured order *)
+  let seg_of_pos = Array.make n 0 and rank = Array.make n (-1) in
+  let seg_mem = Array.make n_segs 0 in
+  for s = 0 to n_segs - 1 do
+    let first = sh.sh_seg_first.(s) in
+    for pos = first to first + sh.sh_seg_len.(s) - 1 do
+      seg_of_pos.(pos) <- s;
+      if addr_stream.(pos) <> None then begin
+        rank.(pos) <- seg_mem.(s);
+        seg_mem.(s) <- seg_mem.(s) + 1
+      end
+    done
+  done;
+  let n_visits = ref 0 in
+  follow t sh bit_stream ~visit:(fun _ -> incr n_visits);
+  let visits =
+    Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout !n_visits
+  in
+  let n_addrs =
+    Hashtbl.fold (fun _ (v : Ivec.t) acc -> acc + v.Ivec.len) t.addrs 0
+  in
+  let addrs = Bigarray.Array1.create Bigarray.int Bigarray.c_layout n_addrs in
+  let acur = Array.make n 0 and k = ref 0 and apos = ref 0 in
+  follow t sh bit_stream ~visit:(fun s ->
+      visits.{!k} <- Int32.of_int s;
+      incr k;
+      let first = sh.sh_seg_first.(s) in
+      for pos = first to first + sh.sh_seg_len.(s) - 1 do
+        match addr_stream.(pos) with
+        | None -> ()
+        | Some v ->
+            let c = acur.(pos) in
+            if c >= v.Ivec.len then
+              divergence "address stream exhausted after %d accesses" c;
+            acur.(pos) <- c + 1;
+            addrs.{!apos + rank.(pos)} <- v.Ivec.data.(c)
+      done;
+      apos := !apos + seg_mem.(s));
+  Array.iteri
+    (fun pos -> function
+      | Some (v : Ivec.t) when acur.(pos) <> v.Ivec.len ->
+          divergence "address stream consumed partially (%d of %d)" acur.(pos)
+            v.Ivec.len
+      | _ -> ())
+    addr_stream;
+  { f_summary =
+      { s_dyn_instrs = t.dyn_instrs;
+        s_sink = t.sink;
+        s_class_counts = t.class_counts;
+      };
+    f_shape = sh;
+    f_pos_of_id = pos_of_id;
+    f_seg_of_pos = seg_of_pos;
+    f_rank = rank;
+    f_seg_mem = seg_mem;
+    f_visits = visits;
+    f_addrs = addrs;
   }
 
-(* Walk state over a prepared binary: instruction pointer, call stack,
-   per-stream consumption cursors, and the count of dynamic instructions
-   replayed so far.  Mutable and single-owner: exactly one domain
-   advances a cursor at a time (a work-stealing pool hands it between
-   domains with the necessary happens-before ordering). *)
-type cursor = {
-  mutable cu_ip : int;
-  mutable cu_stack : int list;
-  mutable cu_steps : int;
-  mutable cu_running : bool;
-  cu_acur : int array;
-  cu_bcur : int array;
-}
+(* Flattened once per trace: the first caller walks, later ones (from
+   any domain) share the result. *)
+let flatten t =
+  match Atomic.get t.flat with
+  | Some f -> f
+  | None ->
+      let f = walk t in
+      if Atomic.compare_and_set t.flat None (Some f) then f
+      else Option.get (Atomic.get t.flat)
 
-let cursor_done cu = not cu.cu_running
-let steps cu = cu.cu_steps
+(* ---- binding --------------------------------------------------------- *)
 
-(* Once the walk has halted, every recorded stream must have been
-   consumed exactly. *)
-let validate_end pr cu =
-  if cu.cu_steps <> pr.pr_trace.dyn_instrs then
-    divergence "replayed %d instructions of a %d-instruction trace"
-      cu.cu_steps pr.pr_trace.dyn_instrs;
-  for k = 0 to pr.pr_n - 1 do
-    (match pr.pr_addr_stream.(k) with
-    | Some v when cu.cu_acur.(k) <> v.Ivec.len ->
-        divergence "address stream consumed partially (%d of %d)"
-          cu.cu_acur.(k) v.Ivec.len
-    | _ -> ());
-    match pr.pr_bit_stream.(k) with
-    | Some v when cu.cu_bcur.(k) <> v.Bitvec.len ->
-        divergence "branch history consumed partially (%d of %d)"
-          cu.cu_bcur.(k) v.Bitvec.len
-    | _ -> ()
-  done
+(* A flat trace bound to one concrete binary.  Immutable after
+   construction; many cursors may walk one [prepared]. *)
+type prepared = { pr_flat : flat; pr_code : Timing.flat_code }
 
-(* A cursor at the entry point with nothing consumed.  An empty trace
-   (or empty binary) starts already halted; the end checks run here so
-   [cursor_done] always implies they have passed. *)
-let start pr =
-  let cu =
-    { cu_ip = pr.pr_entry;
-      cu_stack = [];
-      cu_steps = 0;
-      cu_running = pr.pr_n > 0 && pr.pr_trace.dyn_instrs > 0;
-      cu_acur = Array.make (max 1 pr.pr_n) 0;
-      cu_bcur = Array.make (max 1 pr.pr_n) 0;
-    }
+let summary pr = pr.pr_flat.f_summary
+
+(* Lay [binary] over the flat form.  Every instruction must belong to
+   the captured program and stay in its issue segment, each exactly
+   once; every segment must be present; and control must leave every
+   segment the same way (same kind, same fall-through successor, same
+   target) and enter at the same segment.  Then each instruction is
+   decoded, in the binary's order, into the slots [Timing.replay_flat]
+   reads. *)
+let bind (f : flat) (binary : Program.t) =
+  let fsh = f.f_shape and sh = shape binary in
+  let n = Array.length sh.sh_code in
+  let n_segs = Array.length fsh.sh_seg_first in
+  let seg_map = Array.make (Array.length sh.sh_seg_first) (-1) in
+  let seg_first = Array.make n_segs (-1) in
+  let seen = Array.make (Array.length fsh.sh_code) false in
+  (* each instruction's position in the captured program *)
+  let pos =
+    Array.map
+      (fun (i : Instr.t) ->
+        match Int_table.find_opt f.f_pos_of_id i.Instr.id with
+        | Some pos -> pos
+        | None ->
+            divergence "instruction [%s] of the replayed binary is not traced"
+              (Instr.to_string i))
+      sh.sh_code
   in
-  if not cu.cu_running then validate_end pr cu;
-  cu
+  Array.iteri
+    (fun b first ->
+      let len = sh.sh_seg_len.(b) in
+      let s = f.f_seg_of_pos.(pos.(first)) in
+      for k = first to first + len - 1 do
+        if f.f_seg_of_pos.(pos.(k)) <> s then
+          divergence
+            "instruction [%s] left its issue segment (moved across a \
+             call, a control transfer or a block boundary)"
+            (Instr.to_string sh.sh_code.(k));
+        if seen.(pos.(k)) then
+          divergence "instruction [%s] appears twice in the replayed binary"
+            (Instr.to_string sh.sh_code.(k));
+        seen.(pos.(k)) <- true
+      done;
+      if len <> fsh.sh_seg_len.(s) then
+        divergence
+          "the issue segment starting at [%s] has %d instruction(s) in the \
+           replayed binary, %d in the trace"
+          (Instr.to_string sh.sh_code.(first))
+          len fsh.sh_seg_len.(s);
+      seg_map.(b) <- s;
+      seg_first.(s) <- first)
+    sh.sh_seg_first;
+  Array.iteri
+    (fun s first ->
+      if first < 0 then
+        divergence
+          "the replayed binary lacks the issue segment starting at [%s]"
+          (Instr.to_string fsh.sh_code.(fsh.sh_seg_first.(s))))
+    seg_first;
+  let mapped b = if b < 0 then -1 else seg_map.(b) in
+  Array.iteri
+    (fun b s ->
+      if
+        sh.sh_kind.(b) <> fsh.sh_kind.(s)
+        || mapped sh.sh_next.(b) <> fsh.sh_next.(s)
+        || mapped sh.sh_target.(b) <> fsh.sh_target.(s)
+      then
+        divergence
+          "control leaves the issue segment ending at [%s] differently in \
+           the replayed binary"
+          (Instr.to_string
+             sh.sh_code.(sh.sh_seg_first.(b) + sh.sh_seg_len.(b) - 1)))
+    seg_map;
+  if mapped sh.sh_entry <> fsh.sh_entry then
+    divergence "the replayed binary enters at a different issue segment";
+  let cls = Array.make n 0 and flags = Array.make n 0 in
+  let mrank = Array.make n (-1) and ndefs = Array.make n 0 in
+  let reg_first = Array.make (n + 1) 0 and regs = Ivec.create () in
+  let push_reg r = Ivec.push regs (Reg.index r) in
+  Array.iteri
+    (fun k (i : Instr.t) ->
+      let c = Instr.iclass i in
+      cls.(k) <- Iclass.to_index c;
+      flags.(k) <-
+        (if Instr.is_load i then Timing.flag_load else 0)
+        lor if Iclass.is_control c then Timing.flag_control else 0;
+      mrank.(k) <- f.f_rank.(pos.(k));
+      let defs = Instr.defs i in
+      ndefs.(k) <- List.length defs;
+      List.iter push_reg defs;
+      List.iter push_reg (Instr.uses i);
+      reg_first.(k + 1) <- regs.Ivec.len)
+    sh.sh_code;
+  { pr_flat = f;
+    pr_code =
+      { Timing.fc_seg_first = seg_first;
+        fc_seg_len = fsh.sh_seg_len;
+        fc_seg_mem = f.f_seg_mem;
+        fc_cls = cls;
+        fc_flags = flags;
+        fc_mrank = mrank;
+        fc_reg_first = reg_first;
+        fc_ndefs = ndefs;
+        fc_regs = Array.sub regs.Ivec.data 0 regs.Ivec.len;
+      };
+  }
+
+let prepare t binary = bind (flatten t) binary
+
+(* ---- running ---------------------------------------------------------- *)
+
+(* Walk state: the position in the visit sequence and the count of
+   dynamic instructions replayed so far.  Mutable and single-owner:
+   exactly one domain advances a cursor at a time (a work-stealing pool
+   hands it between domains with the necessary happens-before
+   ordering). *)
+type cursor = { cu_walk : Timing.flat_walk; cu_visits : int }
+
+let cursor_done cu = cu.cu_walk.Timing.fw_visit >= cu.cu_visits
+let steps cu = cu.cu_walk.Timing.fw_steps
+
+(* A cursor at the entry point with nothing consumed.  The flattening
+   walk has already checked the whole trace, so an empty one starts
+   done. *)
+let start pr =
+  { cu_walk =
+      { Timing.fw_visit = 0; fw_offset = 0; fw_abase = 0; fw_steps = 0 };
+    cu_visits = Bigarray.Array1.dim pr.pr_flat.f_visits;
+  }
 
 (* Replay at most [max_steps] dynamic instructions into [timing],
-   advancing the cursor; a segment boundary falls between instruction
-   packets, and the timing snapshot carries the partially filled packet,
-   so cuts are exact wherever they land.  When the walk halts inside
-   this segment the end-of-trace checks run immediately, so a
-   divergence is never deferred to a later segment. *)
+   advancing the cursor.  A cut may fall at any instruction, even inside
+   a segment visit: the cursor keeps the offset into the visit, and the
+   timing snapshot carries the partially filled packet. *)
 let replay_steps pr cu (timing : Timing.t) ~max_steps =
-  let t = pr.pr_trace in
-  let budget = ref max_steps in
-  while cu.cu_running && !budget > 0 do
-    let k = cu.cu_ip in
-    if k < 0 then divergence "replay fell off the end of a function";
-    cu.cu_steps <- cu.cu_steps + 1;
-    decr budget;
-    if cu.cu_steps > t.dyn_instrs then
-      divergence "replay exceeds the captured trace (%d instructions)"
-        t.dyn_instrs;
-    let addr =
-      match pr.pr_addr_stream.(k) with
-      | None -> -1
-      | Some v ->
-          let c = cu.cu_acur.(k) in
-          if c >= v.Ivec.len then
-            divergence "address stream exhausted after %d accesses" c;
-          cu.cu_acur.(k) <- c + 1;
-          v.Ivec.data.(c)
-    in
-    Timing.issue_decoded timing ~cls:pr.pr_cls.(k)
-      ~is_load:pr.pr_is_load.(k) ~defs:pr.pr_defs.(k) ~uses:pr.pr_uses.(k)
-      addr;
-    (match pr.pr_kind.(k) with
-    | 0 (* fall *) -> cu.cu_ip <- pr.pr_next.(k)
-    | 1 (* branch *) -> (
-        match pr.pr_bit_stream.(k) with
-        | None -> divergence "conditional branch has no recorded outcomes"
-        | Some v ->
-            let c = cu.cu_bcur.(k) in
-            if c >= v.Bitvec.len then
-              divergence "branch history exhausted after %d outcomes" c;
-            cu.cu_bcur.(k) <- c + 1;
-            cu.cu_ip <-
-              (if Bitvec.get v c then pr.pr_target.(k) else pr.pr_next.(k)))
-    | 2 (* jump *) -> cu.cu_ip <- pr.pr_target.(k)
-    | 3 (* call *) ->
-        cu.cu_stack <- pr.pr_next.(k) :: cu.cu_stack;
-        cu.cu_ip <- pr.pr_target.(k)
-    | 4 (* ret *) -> (
-        match cu.cu_stack with
-        | ra :: rest ->
-            cu.cu_stack <- rest;
-            cu.cu_ip <- ra
-        | [] -> cu.cu_running <- false)
-    | _ (* halt *) -> cu.cu_running <- false);
-    if not cu.cu_running then validate_end pr cu
-  done
+  Timing.replay_flat timing pr.pr_code pr.pr_flat.f_visits pr.pr_flat.f_addrs
+    cu.cu_walk ~max_steps
 
 let replay t (p : Program.t) (timing : Timing.t) =
   let pr = prepare t p in
-  let cu = start pr in
-  (* one step beyond the trace length, so a walk that fails to halt on
-     time raises the overrun divergence rather than stopping silently *)
-  replay_steps pr cu timing ~max_steps:(t.dyn_instrs + 1)
+  replay_steps pr (start pr) timing ~max_steps:max_int

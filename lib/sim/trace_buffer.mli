@@ -9,25 +9,35 @@
     heaviest benchmark — where the list-of-records {!Trace} capture
     could not hold the full stream.
 
-    {!replay} then drives any {!Timing.t} from the buffer, walking a
-    binary as flattened threaded code without re-interpreting it.  The
-    binary must share instruction identities with the captured program:
-    either the captured program itself, or any per-block reschedule of
-    it (e.g. [List_sched.run] for a different machine).  That is safe
-    because scheduling permutes instructions only within basic blocks
-    and never across calls or the terminator, so branch outcomes and
-    per-instruction address sequences are schedule-invariant.  Replay
-    feeds {!Timing.issue_decoded} exactly the stream a direct
-    {!Timing.observer} would see, so the resulting timing — cycles,
+    Replay goes through a flat form of the trace.  An {e issue segment}
+    is a run of a basic block that ends at a call, at another control
+    transfer or at the block's end.  Scheduling permutes instructions
+    only within basic blocks, never across calls or the terminator, so
+    a segment holds the same instructions in every schedule of the
+    captured program, and branch outcomes and address sequences are
+    schedule-invariant.  {!flatten} walks the captured program once,
+    checking every stream, and keeps two exact-size arrays off the
+    OCaml heap: the dynamic sequence of segment visits and each visit's
+    memory addresses.  {!bind} lays one schedule-sibling binary over
+    that form, checking that every instruction stays in its segment and
+    that control leaves every segment the same way, and decodes it in
+    its own order for {!Timing.replay_flat}.  That loop lives in
+    {!Timing}, next to the issue step it shares with {!Timing.issue},
+    because the dev profile compiles with [-opaque] and a loop here
+    would reach the step through a generic application per
+    instruction.  Replay feeds the issue step exactly the stream a
+    direct {!Timing.observer} would, so the resulting timing — cycles,
     stalls, histogram, cache behaviour — is bit-identical to a direct
     measurement of the same binary. *)
 
 open Ilp_ir
 
 exception Divergence of string
-(** The buffer and the replayed binary disagree: an instruction stream
-    ran short or was not fully consumed, a traced instruction is missing
-    from the binary, or the replayed length differs from the capture. *)
+(** The buffer and a program disagree: an instruction stream ran short
+    or was not fully consumed, the replayed length differs from the
+    capture, or a binary is not a schedule-sibling of the captured
+    program (an instruction is missing, foreign, duplicated or outside
+    its issue segment, or control leaves a segment differently). *)
 
 type t
 
@@ -102,6 +112,46 @@ val unpack : packed -> Program.t -> t
     program or appears twice.  [unpack (pack t p) p] is {!equal} to
     [t]. *)
 
+(** {1 Flat replay} *)
+
+type flat
+(** A trace flattened over its captured program: the segment table, the
+    visit sequence and the addresses.  Immutable; it holds no reference
+    to the per-instruction streams, which may be dropped once it is
+    built. *)
+
+val flatten : t -> flat
+(** The flat form of [t], built by one checked walk of the captured
+    program the first time it is asked for and shared afterwards, from
+    any domain.  Raises {!Divergence} where the recorded streams and the
+    program disagree. *)
+
+type prepared
+(** A flat trace bound to one concrete binary: its instructions decoded
+    in the binary's own order, slot by slot per issue segment.
+    Immutable after construction; many cursors may walk one
+    [prepared]. *)
+
+val bind : flat -> Program.t -> prepared
+(** Bind the flat trace to a schedule-sibling [binary] of the captured
+    program.  Allocates per static instruction only.  Raises
+    {!Divergence} unless every instruction of the binary is traced and
+    sits in its own issue segment exactly once, every segment is
+    present, and control leaves each segment as in the capture. *)
+
+val prepare : t -> Program.t -> prepared
+(** [bind (flatten t) binary]. *)
+
+type summary = {
+  s_dyn_instrs : int;
+  s_sink : Value.t;
+  s_class_counts : int array;
+}
+
+val summary : prepared -> summary
+(** The captured run's dynamic instruction count, checksum and class
+    counts. *)
+
 val replay : t -> Program.t -> Timing.t -> unit
 (** [replay t binary timing] drives [timing] with the captured stream
     laid over [binary].  Raises {!Divergence} if [binary] is not a
@@ -110,42 +160,30 @@ val replay : t -> Program.t -> Timing.t -> unit
 
 (** {1 Segmented replay}
 
-    A replay can be cut into segments at any dynamic-instruction
-    (packet) boundary: {!prepare} pays the per-(trace, binary) decode
-    once, a {!cursor} holds the walk state, and each {!replay_steps}
-    call advances at most [max_steps] dynamic instructions.  Combined
-    with {!Timing.snapshot}/{!Timing.resume} at the same boundaries,
+    A replay can be cut at any dynamic instruction: a {!cursor} holds
+    the position in the visit sequence, and each {!replay_steps} call
+    advances at most [max_steps] dynamic instructions.  Combined with
+    {!Timing.snapshot}/{!Timing.resume} at the same boundaries,
     segmented replay is bit-identical to an unsegmented {!replay} —
     whatever the cut positions, including empty and whole-trace
-    segments — which is what lets a work-stealing scheduler interleave
-    segments of long replays with other work. *)
-
-type prepared
-(** A trace bound to one concrete binary: instructions pre-decoded,
-    control flattened to threaded code, recorded streams attached.
-    Immutable after construction; many cursors may walk one [prepared]. *)
-
-val prepare : t -> Program.t -> prepared
-(** Bind the trace to [binary].  Raises {!Divergence} if the binary does
-    not contain every traced memory instruction or branch. *)
+    segments. *)
 
 type cursor
-(** Walk state over a {!prepared} binary: instruction pointer, call
-    stack, stream-consumption cursors and the dynamic-instruction count.
-    Mutable, single-owner — advance it from one domain at a time. *)
+(** Walk state over a {!prepared} binary: the position in the visit
+    sequence and the dynamic-instruction count.  Mutable, single-owner —
+    advance it from one domain at a time. *)
 
 val start : prepared -> cursor
 (** A cursor at the entry point with nothing consumed. *)
 
 val cursor_done : cursor -> bool
-(** The walk has halted (and the end-of-trace checks have passed). *)
+(** Every dynamic instruction of the trace has been replayed. *)
 
 val steps : cursor -> int
 (** Dynamic instructions replayed through this cursor so far. *)
 
 val replay_steps : prepared -> cursor -> Timing.t -> max_steps:int -> unit
 (** Replay at most [max_steps] further dynamic instructions into
-    [timing] ([max_steps <= 0] replays nothing).  When the walk halts
-    within this segment, the end-of-trace consistency checks run
-    immediately.  Raises {!Divergence} exactly where an unsegmented
-    {!replay} would. *)
+    [timing] ([max_steps <= 0] replays nothing).  Every consistency
+    check has already run in {!flatten} and {!bind}, so this never
+    raises {!Divergence}. *)

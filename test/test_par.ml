@@ -187,6 +187,25 @@ let determinism_tests =
       ("ablation_class_conflicts", Experiments.render_ablation_class_conflicts)
     ]
 
+(* Cells that differ only in the machine's name are replayed once: in
+   Fig. 4-1, superscalar-1 and superpipelined-1 are both the base
+   machine, so the 8 x 16 plan holds 120 distinct cells. *)
+let test_fig4_1_distinct_cells () =
+  let module Presets = Ilp_machine.Presets in
+  let configs =
+    List.map Presets.superscalar Experiments.degrees
+    @ List.map Presets.superpipelined Experiments.degrees
+  in
+  let requests =
+    List.concat_map
+      (fun w -> List.map (Experiments.request w) configs)
+      Ilp_workloads.Registry.all
+  in
+  Alcotest.(check int) "requests" 128 (List.length requests);
+  Alcotest.(check int) "distinct cells" 120
+    (List.length
+       (List.sort_uniq compare (List.map Experiments.cell_key requests)))
+
 let tests =
   qcheck_tests
   @ [ Alcotest.test_case "map_reduce" `Quick test_map_reduce;
@@ -200,4 +219,6 @@ let tests =
         test_two_raisers_lowest_wins;
       Alcotest.test_case "chunked failure: lowest index wins" `Quick
         test_chunked_failure_lowest_wins ]
+  @ [ Alcotest.test_case "fig4_1 replays 120 distinct cells" `Quick
+        test_fig4_1_distinct_cells ]
   @ determinism_tests

@@ -136,6 +136,77 @@ let prop_replay_matches_direct =
       && agree (Presets.superscalar_with_class_conflicts 3)
       && agree ~cache_penalty:8 (Presets.cray1 ()))
 
+(* The sweep engine against direct measurement: random programs on a
+   random choice of cells must give, cell for cell, exactly the run
+   [Ilp.measure] gives.  The cells cover a cache, unit pools,
+   branch-ended packets, memory disambiguation, and two machines that
+   differ only in name (which the engine replays once). *)
+let sweep_cells =
+  let cache =
+    { Ilp_core.Experiments.lines = 16; line_words = 4; penalty = 7 }
+  in
+  [| (Presets.base, None, false);
+     (Presets.superscalar 4, None, false);
+     ({ (Presets.superscalar 4) with Config.name = "superscalar-4-twin" },
+      None, false);
+     (Presets.superpipelined 3, None, false);
+     (Presets.superpipelined 3, None, true);
+     (Presets.superscalar_with_class_conflicts 3, None, false);
+     (Presets.underpipelined, None, false);
+     ( Config.make "superscalar-2-branch-ends" ~issue_width:2
+         ~branch_ends_packet:true,
+       None, false );
+     (Presets.superscalar 2, None, false);
+     (Presets.superscalar 2, Some cache, false) |]
+
+let prop_sweep_matches_direct =
+  QCheck2.Test.make ~count:60
+    ~name:"random programs: run_sweep = direct measure per cell"
+    ~print:QCheck2.Print.(pair (fun s -> s) (list int))
+    QCheck2.Gen.(
+      pair Gen_minimod.program
+        (list_size (int_range 1 8)
+           (int_bound (Array.length sweep_cells - 1))))
+    (fun (src, picks) ->
+      let w = Ilp_workloads.Workload.make ~description:"random" "random" src in
+      let cells = Array.of_list (List.map (Array.get sweep_cells) picks) in
+      match
+        Array.map
+          (fun (config, cache, memdep) ->
+            let cache =
+              Option.map
+                (fun (g : Ilp_core.Experiments.cache_geometry) ->
+                  Ilp_sim.Cache.create ~lines:g.lines ~line_words:g.line_words
+                    ~penalty:g.penalty ())
+                cache
+            in
+            Ilp_core.Ilp.measure ~memdep ?cache config src)
+          cells
+      with
+      | exception Ilp_sim.Exec.Fault _ -> true
+      | direct ->
+          let swept =
+            Ilp_core.Experiments.with_jobs 2 (fun () ->
+                Ilp_core.Experiments.run_sweep
+                  (Array.map
+                     (fun (config, cache, memdep) ->
+                       Ilp_core.Experiments.request ~memdep ?cache w config)
+                     cells))
+          in
+          Array.for_all2
+            (fun (d : Ilp_sim.Metrics.run) (s : Ilp_sim.Metrics.run) ->
+              d.machine = s.machine && d.dyn_instrs = s.dyn_instrs
+              && d.minor_cycles = s.minor_cycles
+              && d.stall_cycles = s.stall_cycles
+              && Float.equal d.speedup s.speedup
+              && d.class_counts = s.class_counts
+              && Ilp_sim.Value.equal d.sink s.sink
+              || QCheck2.Test.fail_reportf "cell %s: swept %s, direct %s"
+                   d.machine
+                   (Fmt.str "%a" Ilp_sim.Metrics.pp_run s)
+                   (Fmt.str "%a" Ilp_sim.Metrics.pp_run d))
+            direct swept)
+
 (* --- scheduler properties over random straight-line blocks --------------- *)
 
 let gen_block : Instr.t list QCheck2.Gen.t =
@@ -357,4 +428,5 @@ let tests =
       prop_scheduling_is_permutation; prop_available_parallelism_bounds;
       prop_framework_liveness_matches_reference;
       prop_region_disjoint_symmetric; prop_region_not_self_disjoint;
-      prop_means; prop_cache_miss_rate_bounds; prop_repeated_access_hits ]
+      prop_means; prop_cache_miss_rate_bounds; prop_repeated_access_hits;
+      prop_sweep_matches_direct ]

@@ -353,6 +353,70 @@ let print_oracle_case ((config : Config.t), cache, stream) =
      ]
     @ Array.to_list (Array.mapi instr stream))
 
+(* The stream as flat replay code: cut into issue segments after every
+   control-class instruction, each visited once in order, with each
+   visit's memory addresses in one block. *)
+let flat_of_stream (stream : Timing_ref.instr array) =
+  let n = Array.length stream in
+  let firsts = ref [] and lens = ref [] and mems = ref [] and addrs = ref [] in
+  let start = ref 0 and mem = ref 0 in
+  let mrank = Array.make n (-1) in
+  Array.iteri
+    (fun k (i : Timing_ref.instr) ->
+      if i.Timing_ref.addr >= 0 then begin
+        mrank.(k) <- !mem;
+        incr mem;
+        addrs := i.Timing_ref.addr :: !addrs
+      end;
+      if Iclass.is_control i.Timing_ref.cls || k = n - 1 then begin
+        firsts := !start :: !firsts;
+        lens := (k + 1 - !start) :: !lens;
+        mems := !mem :: !mems;
+        start := k + 1;
+        mem := 0
+      end)
+    stream;
+  let of_rev l = Array.of_list (List.rev l) in
+  let regs (i : Timing_ref.instr) =
+    Array.append i.Timing_ref.defs i.Timing_ref.uses
+  in
+  let reg_first = Array.make (n + 1) 0 in
+  Array.iteri
+    (fun k i -> reg_first.(k + 1) <- reg_first.(k) + Array.length (regs i))
+    stream;
+  let code =
+    { Timing.fc_seg_first = of_rev !firsts;
+      fc_seg_len = of_rev !lens;
+      fc_seg_mem = of_rev !mems;
+      fc_cls = Array.map (fun i -> Iclass.to_index i.Timing_ref.cls) stream;
+      fc_flags =
+        Array.map
+          (fun (i : Timing_ref.instr) ->
+            (if i.Timing_ref.is_load then Timing.flag_load else 0)
+            lor
+            if Iclass.is_control i.Timing_ref.cls then Timing.flag_control
+            else 0)
+          stream;
+      fc_mrank = mrank;
+      fc_reg_first = reg_first;
+      fc_ndefs = Array.map (fun i -> Array.length i.Timing_ref.defs) stream;
+      fc_regs = Array.concat (Array.to_list (Array.map regs stream));
+    }
+  in
+  let visits =
+    Bigarray.Array1.init Bigarray.int32 Bigarray.c_layout
+      (Array.length code.Timing.fc_seg_first)
+      Int32.of_int
+  in
+  let addresses =
+    Bigarray.Array1.of_array Bigarray.int Bigarray.c_layout (of_rev !addrs)
+  in
+  (code, visits, addresses)
+
+(* Both ways into the shared issue step must match the reference: one
+   [issue_decoded] call per instruction, and the flat replay loop
+   advanced one instruction at a time, so that every cut — inside a
+   segment and between segments — is exercised too. *)
 let prop_matches_reference =
   QCheck2.Test.make ~count:500 ~name:"matches cycle-stepped reference"
     ~print:print_oracle_case
@@ -363,50 +427,70 @@ let prop_matches_reference =
       let expected =
         Timing_ref.run ?cache ~registers:oracle_registers config stream
       in
-      let timing_cache =
-        Option.map
-          (fun c ->
-            Ilp_sim.Cache.create ~lines:c.Timing_ref.lines
-              ~line_words:c.Timing_ref.line_words ~penalty:c.Timing_ref.penalty
-              ())
-          cache
+      let check_path path drive =
+        let timing_cache =
+          Option.map
+            (fun c ->
+              Ilp_sim.Cache.create ~lines:c.Timing_ref.lines
+                ~line_words:c.Timing_ref.line_words
+                ~penalty:c.Timing_ref.penalty ())
+            cache
+        in
+        let t =
+          Timing.create ?cache:timing_cache ~registers:oracle_registers config
+        in
+        let issue_cycles = drive t in
+        let open_minor_cycles = Timing.minor_cycles t in
+        Timing.finish t;
+        let accesses, misses =
+          match timing_cache with
+          | Some c -> (Ilp_sim.Cache.accesses c, Ilp_sim.Cache.misses c)
+          | None -> (0, 0)
+        in
+        let check what show got want =
+          if got <> want then
+            QCheck2.Test.fail_reportf "%s: %s: timing %s, reference %s" path
+              what (show got) (show want)
+        in
+        let module R = Timing_ref in
+        check "issue cycles" ints issue_cycles expected.R.issue_cycles;
+        check "minor_cycles before finish" string_of_int open_minor_cycles
+          expected.R.minor_cycles;
+        check "minor_cycles" string_of_int (Timing.minor_cycles t)
+          expected.R.minor_cycles;
+        check "stall_cycles" string_of_int t.Timing.stall_cycles
+          expected.R.stall_cycles;
+        check "instrs" string_of_int (Timing.instrs t) expected.R.instrs;
+        check "issue histogram" ints t.Timing.issue_histogram
+          expected.R.histogram;
+        check "cache accesses" string_of_int accesses expected.R.accesses;
+        check "cache misses" string_of_int misses expected.R.misses
       in
-      let t =
-        Timing.create ?cache:timing_cache ~registers:oracle_registers config
-      in
-      let issue_cycles =
-        Array.map
-          (fun (i : Timing_ref.instr) ->
-            Timing.issue_decoded t ~cls:i.Timing_ref.cls
-              ~is_load:i.Timing_ref.is_load ~defs:i.Timing_ref.defs
-              ~uses:i.Timing_ref.uses i.Timing_ref.addr;
-            t.Timing.now)
-          stream
-      in
-      let open_minor_cycles = Timing.minor_cycles t in
-      Timing.finish t;
-      let accesses, misses =
-        match timing_cache with
-        | Some c -> (Ilp_sim.Cache.accesses c, Ilp_sim.Cache.misses c)
-        | None -> (0, 0)
-      in
-      let check what show got want =
-        if got <> want then
-          QCheck2.Test.fail_reportf "%s: timing %s, reference %s" what
-            (show got) (show want)
-      in
-      let module R = Timing_ref in
-      check "issue cycles" ints issue_cycles expected.R.issue_cycles;
-      check "minor_cycles before finish" string_of_int open_minor_cycles
-        expected.R.minor_cycles;
-      check "minor_cycles" string_of_int (Timing.minor_cycles t)
-        expected.R.minor_cycles;
-      check "stall_cycles" string_of_int t.Timing.stall_cycles
-        expected.R.stall_cycles;
-      check "instrs" string_of_int (Timing.instrs t) expected.R.instrs;
-      check "issue histogram" ints t.Timing.issue_histogram expected.R.histogram;
-      check "cache accesses" string_of_int accesses expected.R.accesses;
-      check "cache misses" string_of_int misses expected.R.misses;
+      check_path "issue_decoded" (fun t ->
+          Array.map
+            (fun (i : Timing_ref.instr) ->
+              Timing.issue_decoded t ~cls:i.Timing_ref.cls
+                ~is_load:i.Timing_ref.is_load ~defs:i.Timing_ref.defs
+                ~uses:i.Timing_ref.uses i.Timing_ref.addr;
+              t.Timing.now)
+            stream);
+      check_path "replay_flat" (fun t ->
+          let code, visits, addresses = flat_of_stream stream in
+          let walk =
+            { Timing.fw_visit = 0; fw_offset = 0; fw_abase = 0; fw_steps = 0 }
+          in
+          let cycles =
+            Array.map
+              (fun _ ->
+                Timing.replay_flat t code visits addresses walk ~max_steps:1;
+                t.Timing.now)
+              stream
+          in
+          if
+            walk.Timing.fw_steps <> Array.length stream
+            || walk.Timing.fw_visit <> Bigarray.Array1.dim visits
+          then QCheck2.Test.fail_reportf "replay_flat: walk did not finish";
+          cycles);
       true)
 
 let tests =
