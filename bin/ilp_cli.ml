@@ -214,6 +214,25 @@ let source_for w careful =
   if careful then Ilp_workloads.Workload.source_for_mode w `Careful
   else w.Ilp_workloads.Workload.source
 
+(* A MiniMod [--file] that lexes, parses and type checks.  An unreadable
+   or malformed file ends here with a located diagnostic,
+   FILE:LINE:COL: message, and exit status 2. *)
+let read_checked_file path =
+  match In_channel.with_open_text path In_channel.input_all with
+  | exception Sys_error msg ->
+      Fmt.epr "cannot read %s: %s@." path msg;
+      exit 2
+  | source -> (
+      let located msg (pos : Ilp_lang.Ast.pos) =
+        Fmt.epr "%s:%d:%d: %s@." path pos.line pos.col msg;
+        exit 2
+      in
+      match Ilp_lang.Semant.compile_source source with
+      | _ -> source
+      | exception Ilp_lang.Lexer.Error (msg, pos) -> located msg pos
+      | exception Ilp_lang.Parser.Error (msg, pos) -> located msg pos
+      | exception Ilp_lang.Semant.Error (msg, pos) -> located msg pos)
+
 (* --- run ---------------------------------------------------------------- *)
 
 let run_cmd =
@@ -958,12 +977,8 @@ let lint_cmd =
         | Some bench, None ->
             let w = find_bench bench in
             Some (bench, source_for w careful)
-        | None, Some path -> (
-            match In_channel.with_open_text path In_channel.input_all with
-            | source -> Some (Filename.basename path, source)
-            | exception Sys_error msg ->
-                Fmt.epr "cannot read %s: %s@." path msg;
-                exit 2)
+        | None, Some path ->
+            Some (Filename.basename path, read_checked_file path)
         | None, None -> None
       in
       match target with
@@ -1105,28 +1120,20 @@ let sanitize_cmd =
         | Some bench, None ->
             let w = find_bench bench in
             Some (bench, source_for w careful)
-        | None, Some path -> (
-            match In_channel.with_open_text path In_channel.input_all with
-            | source -> Some (Filename.basename path, source)
-            | exception Sys_error msg ->
-                Fmt.epr "cannot read %s: %s@." path msg;
-                exit 2)
+        | None, Some path ->
+            Some (Filename.basename path, read_checked_file path)
         | None, None -> None
       in
       match target with
       | None ->
           Fmt.epr "specify a benchmark with -b, a --file, or use --all@.";
           exit 1
-      | Some (name, source) -> (
+      | Some (name, source) ->
           let unroll = unroll_spec factor careful peel in
-          match sanitize_report ?unroll source with
-          | (safe, oob, unknown), diags ->
-              print_diags diags;
-              tally name (safe, oob, unknown);
-              if oob > 0 then exit 1
-          | exception Ilp_lang.Semant.Error (msg, _) ->
-              Fmt.epr "sanitize: %s does not type check: %s@." name msg;
-              exit 2)
+          let (safe, oob, unknown), diags = sanitize_report ?unroll source in
+          print_diags diags;
+          tally name (safe, oob, unknown);
+          if oob > 0 then exit 1
   in
   let term =
     Term.(

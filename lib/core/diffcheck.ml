@@ -3,7 +3,10 @@
    Every optimization level of every workload must compute the same
    thing; this module proves it dynamically by executing the program at
    each stage boundary and comparing observable behaviour against the
-   unoptimized reference.
+   unoptimized reference.  Snapshots taken before temp allocation still
+   hold virtual registers; the executor runs them as they are, each
+   call in its own register frame, so the oracle checks exactly what
+   each pass produced.
 
    What counts as observable depends on how far apart the two programs
    are:
@@ -23,7 +26,9 @@
      dynamic instruction count, per-class counts, the sequence of values
      stored at every address (scheduling may interleave provably-disjoint
      stores differently but never reorders same-address stores — the DDG
-     serialises those), final memory and final registers.
+     serialises those), final memory (the lowest differing address,
+     found by [Exec.first_difference] over the pages either run touched)
+     and final registers.
 
    Floats compare with a small relative tolerance in the cross-stage
    check: constant folding evaluates at compile time with the same FP
@@ -123,13 +128,12 @@ let compare_exact ~stage ~(reference : observation) (got : observation) =
     got.stores_by_addr;
   let ref_mem = reference.outcome.Exec.memory
   and got_mem = got.outcome.Exec.memory in
-  Array.iteri
-    (fun addr v ->
-      if not (Value.equal v got_mem.(addr)) then
-        mismatch stage "final memory differs at address %d: %s vs %s" addr
-          (Value.to_string got_mem.(addr))
-          (Value.to_string v))
-    ref_mem;
+  (match Exec.first_difference ref_mem got_mem with
+  | Some addr ->
+      mismatch stage "final memory differs at address %d: %s vs %s" addr
+        (Value.to_string (Exec.load got_mem addr))
+        (Value.to_string (Exec.load ref_mem addr))
+  | None -> ());
   let ref_regs = reference.outcome.Exec.regs
   and got_regs = got.outcome.Exec.regs in
   Array.iteri
@@ -139,16 +143,6 @@ let compare_exact ~stage ~(reference : observation) (got : observation) =
           (Value.to_string got_regs.(r))
           (Value.to_string v))
     ref_regs
-
-(* Make a pass snapshot executable: programs before temp_alloc still
-   use virtual registers, which the executor rejects.  Temp allocation
-   is semantics-preserving (it always runs anyway), so allocating a
-   snapshot only for execution cannot mask a bug in the snapshotted
-   pass — and temp_alloc's own output is checked directly. *)
-let executable (config : Config.t) ~(stage : Validate.stage) p =
-  match stage with
-  | `Virtual -> Ilp_regalloc.Temp_alloc.run config p
-  | `Allocated -> p
 
 type granularity = [ `Boundaries | `Every_pass ]
 
@@ -183,19 +177,17 @@ let check_unscheduled ?unroll ?options ?(granularity = `Boundaries) ~level
   in
   let reference = ref None in
   let snapshots = ref [] in
-  let on_pass name stage p =
-    if String.equal name "codegen" then
-      reference := Some (observe ?options (executable config ~stage p))
-    else if wanted name then snapshots := (name, stage, p) :: !snapshots
+  let on_pass name _stage p =
+    if String.equal name "codegen" then reference := Some (observe ?options p)
+    else if wanted name then snapshots := (name, p) :: !snapshots
   in
   let unscheduled =
     Ilp.compile_unscheduled ?unroll ~check:true ~on_pass ~level config source
   in
   let reference = Option.get !reference in
   List.iter
-    (fun (name, stage, p) ->
-      let obs = observe ?options (executable config ~stage p) in
-      compare_semantics ~stage:name ~reference obs)
+    (fun (name, p) ->
+      compare_semantics ~stage:name ~reference (observe ?options p))
     (List.rev !snapshots);
   (match unroll with
   | None -> ()

@@ -2,7 +2,9 @@
 
     Executes a workload at stage boundaries and compares observable
     behaviour against the unoptimized reference, proving dynamically
-    that every pass preserved semantics.
+    that every pass preserved semantics.  Every snapshot runs as the
+    pass left it, virtual registers included: {!Exec} gives each call
+    its own register frame.
 
     Two comparison strengths:
 
@@ -17,7 +19,8 @@
     - {b schedule-vs-input} ({!compare_exact}): list scheduling permutes
       instructions but deletes nothing, so dynamic instruction counts,
       per-class counts, the per-address store value sequences, final
-      memory and final registers must all match exactly. *)
+      memory (compared with {!Exec.first_difference}) and final
+      registers must all match exactly. *)
 
 open Ilp_ir
 open Ilp_machine
@@ -36,18 +39,14 @@ type observation = {
 }
 
 val observe : ?options:Exec.options -> Program.t -> observation
-(** Execute a (fully allocated) program, recording the dynamic store
-    streams alongside the usual outcome. *)
+(** Execute a program, virtual or allocated, recording the dynamic
+    store streams alongside the usual outcome. *)
 
 val compare_semantics :
   stage:string -> reference:observation -> observation -> unit
 
 val compare_exact :
   stage:string -> reference:observation -> observation -> unit
-
-val executable : Config.t -> stage:Validate.stage -> Program.t -> Program.t
-(** Temp-allocate a [`Virtual] pass snapshot so it can execute;
-    identity on [`Allocated] programs. *)
 
 type granularity = [ `Boundaries | `Every_pass ]
 (** Where to execute: the paper's stage boundaries (post-codegen,

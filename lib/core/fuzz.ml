@@ -60,9 +60,10 @@ let unroll_heavy_specs =
     { Ilp.mode = Ilp_lang.Unroll.Careful; factor = 8; bounds = true };
   ]
 
-(* Random programs use a few dozen globals and tiny arrays; a small
-   simulated memory makes the oracle's full-memory comparison (and each
-   execution's allocation) cheap enough to run at every pass boundary. *)
+(* Random programs use a few dozen globals and tiny arrays.  Memory is
+   paged, so each execution pays for the pages it touches and the final
+   memory comparison skips the rest; the 16K-word bound only sizes each
+   run's page table (64 entries instead of 4096). *)
 let exec_options =
   { Ilp_sim.Exec.default_options with mem_words = 1 lsl 14 }
 

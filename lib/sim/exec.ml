@@ -1,16 +1,31 @@
 (* Functional execution of IR programs.
 
-   The executor interprets a fully register-allocated program (no virtual
-   registers) and drives an observer callback with every executed
-   instruction, in program order.  Timing models, instruction-mix
-   counters and cache simulators all consume this dynamic stream, so one
-   functional pass can feed several observers at once.
+   The executor interprets any validated program — still in virtual
+   registers or fully register-allocated — and drives an observer
+   callback with every executed instruction, in program order.  Timing
+   models, instruction-mix counters and cache simulators all consume
+   this dynamic stream, so one functional pass can feed several
+   observers at once; the differential oracle runs every pass snapshot
+   through the same loop without allocating it first.
 
-   Machine state: a physical register file, a flat word-addressed memory
+   Machine state: a physical register file, a word-addressed memory
    (globals low, stack high), and a return-address stack managed by
    call/ret — return addresses never touch simulated memory, which keeps
    the calling convention out of the measured instruction stream, as on
-   the MultiTitan with its dedicated PSW return-PC. *)
+   the MultiTitan with its dedicated PSW return-PC.
+
+   Virtual registers live in per-activation frames: [resolve] numbers
+   each function's virtual registers densely and executes a renamed
+   copy of its code, a call gives the callee a fresh zeroed frame and a
+   return restores the caller's.  They never share storage with the
+   physical file.  Observers and hooks receive the program's own
+   instructions, never the renamed copies; code without virtual
+   registers is executed as is.
+
+   Memory is paged: a table of 256-word pages that all start as one
+   shared page of zeros, and a page of its own is allocated on the
+   first store into it.  A run pays for the pages it touches, not for
+   [mem_words]. *)
 
 open Ilp_ir
 
@@ -29,13 +44,66 @@ type options = {
 let default_options =
   { mem_words = 1 lsl 20; max_steps = 400_000_000; registers = 256 }
 
+(* 256 words is the largest block the minor heap takes. *)
+let page_bits = 8
+let page_words = 1 lsl page_bits
+let page_mask = page_words - 1
+
+type memory = { words : int; pages : Value.t array array }
+(** [pages.(k)] holds words [k * page_words ..]. *)
+
+(* Every page of a fresh memory is this one, shared and never written:
+   a store to it first gives the memory a page of its own. *)
+let zero_page = Array.make page_words Value.zero
+
+let create_memory words =
+  { words; pages = Array.make ((words + page_mask) lsr page_bits) zero_page }
+
+(* Unchecked against [words]: callers have bounds-checked [addr]. *)
+let read m addr = m.pages.(addr lsr page_bits).(addr land page_mask)
+
+let write m addr v =
+  let k = addr lsr page_bits in
+  let page = m.pages.(k) in
+  let page =
+    if page != zero_page then page
+    else begin
+      let fresh = Array.make page_words Value.zero in
+      m.pages.(k) <- fresh;
+      fresh
+    end
+  in
+  page.(addr land page_mask) <- v
+
+let load m addr =
+  if addr < 0 || addr >= m.words then invalid_arg "Exec.load: out of range";
+  read m addr
+
+let first_difference a b =
+  let page m k = if k < Array.length m.pages then m.pages.(k) else zero_page in
+  let n = max (Array.length a.pages) (Array.length b.pages) in
+  let rec scan k =
+    if k >= n then None
+    else
+      let pa = page a k and pb = page b k in
+      if pa == pb then scan (k + 1)
+      else
+        let rec find j =
+          if j = page_words then scan (k + 1)
+          else if Value.equal pa.(j) pb.(j) then find (j + 1)
+          else Some ((k lsl page_bits) + j)
+        in
+        find 0
+  in
+  scan 0
+
 type outcome = {
   dyn_instrs : int;  (** dynamically executed instructions *)
   sink : Value.t;  (** final value of the checksum cell *)
   class_counts : int array;  (** dynamic count per instruction class *)
   per_function : (string * int) list;
       (** dynamic instructions per function, heaviest first *)
-  memory : Value.t array;  (** final memory, for test inspection *)
+  memory : memory;  (** final memory *)
   regs : Value.t array;  (** final register file *)
 }
 
@@ -44,15 +112,50 @@ type outcome = {
 type code_pos = { fn : int; blk : int; ins : int }
 
 type resolved = {
-  prog_code : Instr.t array array array;  (** [fn].(blk).(ins) *)
+  prog_code : Instr.t array array array;
+      (** [fn].(blk).(ins), what the loop executes: virtual register
+          [k] of a function is renamed to [Reg.of_index (lnot k)] *)
+  source : Instr.t array array array;
+      (** the program's own instructions, handed to observers *)
+  frame_slots : int array;  (** virtual registers per function *)
   block_of_label : (string, code_pos) Hashtbl.t;
   entry : code_pos;
 }
 
+(* Number a function's virtual registers 0, 1, ... in order of
+   appearance and rename its code so that slot [k] reads as index
+   [lnot k]; instructions without virtual registers are kept as they
+   are. *)
+let rename_virtuals (blocks : Instr.t array array) =
+  let slots = Reg.Table.create 64 in
+  let slot r =
+    if Reg.is_physical r then r
+    else
+      match Reg.Table.find_opt slots r with
+      | Some k -> Reg.of_index (lnot k)
+      | None ->
+          let k = Reg.Table.length slots in
+          Reg.Table.add slots r k;
+          Reg.of_index (lnot k)
+  in
+  let mentions_virtual (i : Instr.t) =
+    List.exists Reg.is_virtual (Instr.src_regs i)
+    || Option.fold ~none:false ~some:Reg.is_virtual i.Instr.dst
+  in
+  let renamed =
+    Array.map
+      (Array.map (fun i ->
+           if mentions_virtual i then
+             Instr.map_dst slot (Instr.map_src_regs slot i)
+           else i))
+      blocks
+  in
+  (renamed, Reg.Table.length slots)
+
 let resolve (p : Program.t) =
   let functions = Array.of_list p.Program.functions in
   let block_of_label = Hashtbl.create 256 in
-  let prog_code =
+  let source =
     Array.mapi
       (fun fn f ->
         let blocks = Array.of_list f.Func.blocks in
@@ -65,6 +168,7 @@ let resolve (p : Program.t) =
           blocks)
       functions
   in
+  let renamed = Array.map rename_virtuals source in
   (* the entry block of every function is also reachable by function
      name.  A basic block elsewhere carrying the same label would be
      silently shadowed here, redirecting branches to the function entry
@@ -92,19 +196,23 @@ let resolve (p : Program.t) =
     | Some pos -> pos
     | None -> raise (Fault "program has no main function")
   in
-  { prog_code; block_of_label; entry }
+  { prog_code = Array.map fst renamed;
+    source;
+    frame_slots = Array.map snd renamed;
+    block_of_label;
+    entry }
 
 let init_memory (p : Program.t) mem_words =
-  let memory = Array.make mem_words Value.zero in
+  let memory = create_memory mem_words in
   let addr = ref Program.globals_base in
   List.iter
     (fun g ->
       (match g.Program.init with
       | Program.Zero -> ()
       | Program.Ints ns ->
-          List.iteri (fun i n -> memory.(!addr + i) <- Value.Int n) ns
+          List.iteri (fun i n -> write memory (!addr + i) (Value.Int n)) ns
       | Program.Floats fs ->
-          List.iteri (fun i f -> memory.(!addr + i) <- Value.Float f) fs);
+          List.iteri (fun i f -> write memory (!addr + i) (Value.Float f)) fs);
       addr := !addr + g.Program.words)
     p.Program.globals;
   (memory, !addr)
@@ -124,6 +232,8 @@ let run ?(options = default_options) ?observer ?(observers = []) ?on_branch
   let r = resolve p in
   let memory, globals_end = init_memory p options.mem_words in
   let regs = Array.make options.registers Value.zero in
+  let new_frame fn = Array.make r.frame_slots.(fn) Value.zero in
+  let frame = ref (new_frame r.entry.fn) in
   let class_counts = Array.make Iclass.count 0 in
   let fn_counts = Array.make (Array.length r.prog_code) 0 in
   let fn_names =
@@ -149,16 +259,26 @@ let run ?(options = default_options) ?observer ?(observers = []) ?on_branch
     | Some p -> normalize p
     | None -> raise (Fault ("jump to unknown label " ^ Label.to_string l))
   in
-  let reg_value reg = regs.(Reg.index reg) in
+  let reg_value reg =
+    let k = Reg.index reg in
+    if k >= 0 then regs.(k) else !frame.(lnot k)
+  in
   let operand_value = function
     | Instr.Oreg reg -> reg_value reg
     | Instr.Oimm n -> Value.Int n
     | Instr.Ofimm f -> Value.Float f
   in
+  (* the program's own text of the executing instruction, for messages *)
+  let current () =
+    let { fn; blk; ins } = !pos in
+    Instr.to_string r.source.(fn).(blk).(ins)
+  in
   let set_dst (i : Instr.t) v =
     match i.Instr.dst with
-    | Some d -> regs.(Reg.index d) <- v
-    | None -> raise (Fault ("instruction without destination: " ^ Instr.to_string i))
+    | Some d ->
+        let k = Reg.index d in
+        if k >= 0 then regs.(k) <- v else !frame.(lnot k) <- v
+    | None -> raise (Fault ("instruction without destination: " ^ current ()))
   in
   let src (i : Instr.t) n = operand_value (List.nth i.Instr.srcs n) in
   let int_binop i f =
@@ -186,7 +306,7 @@ let run ?(options = default_options) ?observer ?(observers = []) ?on_branch
       raise
         (Fault
            (Printf.sprintf "memory access out of range: %d (%s)" addr
-              (Instr.to_string i)));
+              (current ())));
     addr
   in
   (* advance to the next instruction in straight-line order *)
@@ -200,6 +320,7 @@ let run ?(options = default_options) ?observer ?(observers = []) ?on_branch
       raise (Fault (Printf.sprintf "exceeded %d steps" options.max_steps));
     let { fn; blk; ins } = !pos in
     let i = r.prog_code.(fn).(blk).(ins) in
+    let own = r.source.(fn).(blk).(ins) in
     class_counts.(Iclass.to_index (Instr.iclass i)) <-
       class_counts.(Iclass.to_index (Instr.iclass i)) + 1;
     fn_counts.(fn) <- fn_counts.(fn) + 1;
@@ -251,22 +372,22 @@ let run ?(options = default_options) ?observer ?(observers = []) ?on_branch
         | [ base ] ->
             let addr = effective_address i base in
             addr_for_observer := addr;
-            set_dst i memory.(addr)
-        | _ -> raise (Fault ("malformed load: " ^ Instr.to_string i)))
+            set_dst i (read memory addr)
+        | _ -> raise (Fault ("malformed load: " ^ Instr.to_string own)))
     | Opcode.St -> (
         match i.Instr.srcs with
         | [ v; base ] ->
             let addr = effective_address i base in
             addr_for_observer := addr;
             let value = operand_value v in
-            memory.(addr) <- value;
-            (match on_store with Some f -> f i addr value | None -> ())
-        | _ -> raise (Fault ("malformed store: " ^ Instr.to_string i)))
+            write memory addr value;
+            (match on_store with Some f -> f own addr value | None -> ())
+        | _ -> raise (Fault ("malformed store: " ^ Instr.to_string own)))
     | Opcode.Beq | Opcode.Bne | Opcode.Blt | Opcode.Ble | Opcode.Bgt
     | Opcode.Bge ->
         ()
     | Opcode.Jmp | Opcode.Call | Opcode.Ret | Opcode.Halt -> ());
-    observer i !addr_for_observer;
+    observer own !addr_for_observer;
     (* control flow *)
     (match i.Instr.op with
     | Opcode.Beq | Opcode.Bne | Opcode.Blt | Opcode.Ble | Opcode.Bgt
@@ -282,7 +403,7 @@ let run ?(options = default_options) ?observer ?(observers = []) ?on_branch
           | Opcode.Bge -> c >= 0
           | _ -> assert false
         in
-        (match on_branch with Some f -> f i taken | None -> ());
+        (match on_branch with Some f -> f own taken | None -> ());
         if taken then
           match i.Instr.target with
           | Some l -> pos := find_label l
@@ -295,14 +416,16 @@ let run ?(options = default_options) ?observer ?(observers = []) ?on_branch
     | Opcode.Call -> (
         match i.Instr.target with
         | Some l ->
-            let { fn; blk; ins } = !pos in
-            call_stack := { fn; blk; ins } :: !call_stack;
-            pos := find_label l
+            let callee = find_label l in
+            call_stack := (!pos, !frame) :: !call_stack;
+            frame := new_frame callee.fn;
+            pos := callee
         | None -> raise (Fault "call without target"))
     | Opcode.Ret -> (
         match !call_stack with
-        | ra :: rest ->
+        | (ra, caller_frame) :: rest ->
             call_stack := rest;
+            frame := caller_frame;
             pos := ra;
             advance ()
         | [] -> running := false)
@@ -316,7 +439,7 @@ let run ?(options = default_options) ?observer ?(observers = []) ?on_branch
     |> List.sort (fun (_, a) (_, b) -> compare b a)
   in
   { dyn_instrs = !steps;
-    sink = memory.(sink_addr);
+    sink = read memory sink_addr;
     class_counts;
     per_function;
     memory;

@@ -190,6 +190,48 @@ let test_exact_catches_any_dropped_store () =
   | () -> Alcotest.fail "behaviour change not flagged"
   | exception Diffcheck.Mismatch _ -> ()
 
+(* --- direct execution of virtual snapshots ------------------------------ *)
+
+(* The oracle runs every pre-allocation snapshot as the pass left it.
+   Temp-allocating the snapshot first must not change what its run
+   observes; the property also keeps Temp_alloc exercised on
+   intermediate shapes (before CSE, before coalescing, unrolled) that
+   the pipeline itself never allocates. *)
+let virtual_snapshots ?unroll config source =
+  let snapshots = ref [] in
+  let on_pass name stage p =
+    match stage with
+    | `Virtual -> snapshots := (name, p) :: !snapshots
+    | `Allocated -> ()
+  in
+  ignore
+    (Ilp.compile_unscheduled ?unroll ~on_pass ~level:Ilp.O4 config source);
+  List.rev !snapshots
+
+let direct_agrees_with_allocated config source =
+  List.iter
+    (fun unroll ->
+      List.iter
+        (fun (name, p) ->
+          Diffcheck.compare_semantics ~stage:name
+            ~reference:
+              (Diffcheck.observe (Ilp_regalloc.Temp_alloc.run config p))
+            (Diffcheck.observe p))
+        (virtual_snapshots ?unroll config source))
+    [ None;
+      Some { Ilp.mode = Ilp_lang.Unroll.Careful; factor = 3; bounds = false } ]
+
+let prop_direct_matches_allocated mode gen =
+  QCheck2.Test.make ~count:25
+    ~name:(mode ^ " programs: direct snapshot runs = temp-allocated runs")
+    ~print:Gen_prog.render gen
+    (fun prog ->
+      let source = Gen_prog.render prog in
+      List.iter
+        (fun config -> direct_agrees_with_allocated config source)
+        [ Presets.base; Config.make "ss8-6temps" ~issue_width:8 ~temp_regs:6 ];
+      true)
+
 (* --- generator shrinking ------------------------------------------------ *)
 
 let rec stmt_has_arr_write = function
@@ -290,4 +332,8 @@ let tests =
     Alcotest.test_case "fuzz smoke" `Slow test_fuzz_smoke;
     Alcotest.test_case "fuzz smoke, 2 domains" `Slow test_fuzz_parallel_smoke;
     Alcotest.test_case "checked sweep is bit-identical" `Slow
-      test_checked_sweep_identical ]
+      test_checked_sweep_identical;
+    QCheck_alcotest.to_alcotest
+      (prop_direct_matches_allocated "random" Gen_minimod.prog);
+    QCheck_alcotest.to_alcotest
+      (prop_direct_matches_allocated "alias-heavy" Gen_minimod.alias_heavy_prog) ]

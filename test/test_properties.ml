@@ -259,7 +259,8 @@ let exec_block instrs =
   let mem_top = 1 lsl 20 in
   let touched =
     List.init 16 (fun k ->
-        Ilp_sim.Value.to_string outcome.Ilp_sim.Exec.memory.(mem_top - 8 + k - 16))
+        Ilp_sim.Value.to_string
+          (Ilp_sim.Exec.load outcome.Ilp_sim.Exec.memory (mem_top - 8 + k - 16)))
   in
   String.concat "," (regs @ touched)
 

@@ -316,14 +316,40 @@ let cli = "../bin/ilp_cli.exe"
 let oob_source =
   "arr a : int[8];\nfun main() {\n  a[9] = 1;\n  sink(a[0]);\n}\n"
 
-let with_oob_file f =
-  let path = Filename.temp_file "ilp_oob" ".mm" in
+let with_source_file source f =
+  let path = Filename.temp_file "ilp_src" ".mm" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () ->
       Out_channel.with_open_text path (fun oc ->
-          Out_channel.output_string oc oob_source);
+          Out_channel.output_string oc source);
       f path)
+
+(* One malformed file per front-end stage, with the position each error
+   must be reported at. *)
+let malformed_sources =
+  [ ("lexer error", "fun main() {\n  var x : int = 1 $ 2;\n  sink(x);\n}\n",
+     ":2:19: ");
+    ("parser error", "fun main() {\n  var x : int = (1 + ;\n  sink(x);\n}\n",
+     ":2:22: ");
+    ("type error", "fun main() {\n  var x : int = 1;\n  sink(y);\n}\n",
+     ":3:8: ") ]
+
+(* Run [cmd] with standard error captured; the exit status and the
+   first line written there. *)
+let run_capturing_stderr cmd =
+  let err = Filename.temp_file "ilp_err" ".txt" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove err with Sys_error _ -> ())
+    (fun () ->
+      let code =
+        Sys.command (Printf.sprintf "%s > /dev/null 2> %s" cmd err)
+      in
+      let first =
+        In_channel.with_open_text err In_channel.input_line
+        |> Option.value ~default:""
+      in
+      (code, first))
 
 let test_cli_exit_codes () =
   if not (Sys.file_exists cli) then
@@ -336,13 +362,31 @@ let test_cli_exit_codes () =
       (run "%s lint -b whet --json > /dev/null 2>&1" cli);
     Alcotest.(check int) "sanitize, clean benchmark" 0
       (run "%s sanitize -b redblack > /dev/null 2>&1" cli);
-    with_oob_file (fun path ->
+    with_source_file oob_source (fun path ->
         Alcotest.(check int) "lint text, proved oob" 1
           (run "%s lint --file %s > /dev/null 2>&1" cli path);
         Alcotest.(check int) "lint json, proved oob" 1
           (run "%s lint --file %s --json > /dev/null 2>&1" cli path);
         Alcotest.(check int) "sanitize, proved oob" 1
-          (run "%s sanitize --file %s > /dev/null 2>&1" cli path))
+          (run "%s sanitize --file %s > /dev/null 2>&1" cli path));
+    (* malformed MiniMod ends in FILE:LINE:COL: message and exit 2 *)
+    List.iter
+      (fun (what, source, at) ->
+        with_source_file source (fun path ->
+            List.iter
+              (fun command ->
+                let code, first =
+                  run_capturing_stderr
+                    (Printf.sprintf "%s %s --file %s" cli command path)
+                in
+                let name = Printf.sprintf "%s, %s" command what in
+                Alcotest.(check int) (name ^ ": exit code") 2 code;
+                let prefix = path ^ at in
+                Alcotest.(check string) (name ^ ": located message") prefix
+                  (String.sub first 0
+                     (min (String.length first) (String.length prefix))))
+              [ "lint"; "sanitize" ]))
+      malformed_sources
   end
 
 (* --- dynamic soundness of the exported ranges -------------------------- *)
