@@ -257,7 +257,7 @@ let run_cmd =
   let verbose_arg =
     let doc =
       "With $(b,--replay): report the captured trace's footprint — \
-       recorded streams, addresses, taken bits and packed byte size."
+       segment visits, addresses and payload bytes."
     in
     Arg.(value & flag & info [ "v"; "verbose" ] ~doc)
   in
@@ -339,14 +339,9 @@ let run_cmd =
        match !trace_stats with
        | None -> ()
        | Some st ->
-           Fmt.pr "trace          %d mem stream(s), %d branch stream(s)@."
-             st.Ilp_sim.Trace_buffer.mem_streams
-             st.Ilp_sim.Trace_buffer.branch_streams;
-           Fmt.pr "trace entries  %d address(es), %d taken bit(s)@."
-             st.Ilp_sim.Trace_buffer.addr_entries
-             st.Ilp_sim.Trace_buffer.taken_bits;
-           Fmt.pr "trace size     %d packed byte(s)@."
-             st.Ilp_sim.Trace_buffer.packed_bytes);
+           Fmt.pr "trace          %d visit(s), %d address(es)@."
+             st.Ilp_sim.Trace_buffer.visits st.Ilp_sim.Trace_buffer.addresses;
+           Fmt.pr "trace size     %d byte(s)@." st.Ilp_sim.Trace_buffer.bytes);
     Fmt.pr "instructions   %d@." r.Ilp_sim.Metrics.dyn_instrs;
     Fmt.pr "base cycles    %.1f@." r.Ilp_sim.Metrics.base_cycles;
     Fmt.pr "speedup (ILP)  %.3f@." r.Ilp_sim.Metrics.speedup;
@@ -1229,27 +1224,13 @@ let trace_list_cmd =
           total := !total + e.bytes;
           match e.info with
           | Ok (key, pk) ->
-              let addrs =
-                Array.fold_left
-                  (fun acc (_, a) -> acc + Array.length a)
-                  0 pk.Ilp_sim.Trace_buffer.p_addrs
-              in
-              let bits =
-                Array.fold_left
-                  (fun acc (_, b, _) -> acc + b)
-                  0 pk.Ilp_sim.Trace_buffer.p_branches
-              in
-              Fmt.pr
-                "%s  %9d bytes  %-32s %d dyn, %d mem stream(s) / %d \
-                 address(es), %d branch stream(s) / %d taken bit(s)@."
+              let st = Ilp_sim.Trace_buffer.packed_stats pk in
+              Fmt.pr "%s  %9d bytes  %-32s %d dyn, %d visit(s), %d address(es)@."
                 (Filename.basename e.file)
                 e.bytes
                 (Ilp_store.Codec.describe_key key)
-                pk.Ilp_sim.Trace_buffer.p_dyn_instrs
-                (Array.length pk.Ilp_sim.Trace_buffer.p_addrs)
-                addrs
-                (Array.length pk.Ilp_sim.Trace_buffer.p_branches)
-                bits
+                st.Ilp_sim.Trace_buffer.dyn st.Ilp_sim.Trace_buffer.visits
+                st.Ilp_sim.Trace_buffer.addresses
           | Error msg ->
               Fmt.pr "%s  %9d bytes  BAD: %s@." (Filename.basename e.file)
                 e.bytes msg)
@@ -1271,8 +1252,12 @@ let trace_verify_cmd =
     List.iter
       (fun (file, r) ->
         match r with
-        | Ok key ->
-            Fmt.pr "%s  ok   %s@." file (Ilp_store.Codec.describe_key key)
+        | Ok (key, pk) ->
+            let st = Ilp_sim.Trace_buffer.packed_stats pk in
+            Fmt.pr "%s  ok   %s  %d visit(s), %d address(es), %d byte(s)@." file
+              (Ilp_store.Codec.describe_key key)
+              st.Ilp_sim.Trace_buffer.visits st.Ilp_sim.Trace_buffer.addresses
+              st.Ilp_sim.Trace_buffer.bytes
         | Error msg ->
             incr bad;
             Fmt.pr "%s  BAD  %s@." file msg)

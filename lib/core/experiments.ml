@@ -66,7 +66,8 @@ module Store = Ilp_store.Store
    store before executing the workload and writes fresh captures back,
    so a warm sweep performs zero workload execution.  Safety over
    availability: any rejected file (corrupt, truncated, version-skewed,
-   key-colliding, or failing stream re-attachment) is reported through
+   key-colliding, or failing re-validation against the program) is
+   reported through
    [store_warn] and the engine falls back to a fresh capture. *)
 let store : Store.t option ref = ref None
 
@@ -124,7 +125,7 @@ let trace_for ?(check = false) ~workload ~unroll ~level config pre =
   | Some s -> (
       let key = store_key ~workload ~unroll ~level config pre in
       let save_back trace =
-        try Store.save s key (Ilp_sim.Trace_buffer.pack trace pre)
+        try Store.save s key (Ilp_sim.Trace_buffer.pack trace)
         with Sys_error msg ->
           !store_warn
             (Printf.sprintf "could not write %s: %s"
@@ -152,8 +153,8 @@ let trace_for ?(check = false) ~workload ~unroll ~level config pre =
           | exception Ilp_sim.Trace_buffer.Divergence msg ->
               !store_warn
                 (Printf.sprintf
-                   "rejecting stored trace for %s (did not re-attach: %s); \
-                    falling back to capture"
+                   "rejecting stored trace for %s (does not fit the program: \
+                    %s); falling back to capture"
                    (Ilp_store.Codec.describe_key key) msg);
               (`Rejected, capture_and_save ()))
       | Ok None -> (`Miss, capture_and_save ())
@@ -262,16 +263,16 @@ let distinct key (requests : request array) =
 (* Execute a sweep as an explicit two-phase plan:
 
    - phase 1: one capture job per distinct [capture_key] — compile the
-     unscheduled program, run the functional interpreter once, and
-     flatten the trace (Trace_buffer.flatten); only the program and the
-     flat trace outlive the job;
+     unscheduled program and run the functional interpreter once with
+     its recorder (Trace_buffer.capture); only the program and the flat
+     trace outlive the job;
    - phase 2: one replay job per distinct [cell_key] — schedule the
      shared program for the cell's configuration, bind the binary to the
-     flat trace and replay it through a fresh [Timing.t].
+     trace and replay it through a fresh [Timing.t].
 
    Both phases fan out over the engine's domain pool (serial without
    one).  Jobs share only immutable data (the pre-scheduled program and
-   the flat trace); every job builds its own simulator state, and each
+   the trace); every job builds its own simulator state, and each
    result is written at its cell's index, so the output is bit-identical
    whatever the parallelism. *)
 let run_sweep (requests : request array) : Metrics.run array =
@@ -294,14 +295,14 @@ let run_sweep (requests : request array) : Metrics.run array =
           trace_for ~check ~workload:r.rq_workload.W.name ~unroll:r.rq_unroll
             ~level:r.rq_level r.rq_config pre
         in
-        (pre, Ilp_sim.Trace_buffer.flatten trace))
+        (pre, trace))
       group_firsts
   in
   let runs =
     par_map
       (fun i ->
         let r = requests.(i) in
-        let pre, flat = captures.(group.(i)) in
+        let pre, trace = captures.(group.(i)) in
         let binary =
           Ilp.schedule ~check ~memdep:r.rq_memdep ~level:r.rq_level r.rq_config
             pre
@@ -314,7 +315,7 @@ let run_sweep (requests : request array) : Metrics.run array =
             r.rq_cache
         in
         Metrics.measure_prepared ?cache r.rq_config
-          (Ilp_sim.Trace_buffer.bind flat binary))
+          (Ilp_sim.Trace_buffer.bind trace binary))
       cell_firsts
   in
   Array.mapi

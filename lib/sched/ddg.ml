@@ -26,14 +26,12 @@ let kind_reg = 1
 let kind_mem = 2
 let kind_order = 4
 
-(* The edge table: one entry per (src, dst) pair, keyed [src * n + dst],
-   holding the edge's weight shifted past its kind bits. *)
-module Edges = Hashtbl.Make (Int)
-
+(* An edge's weight shifted past its kind bits. *)
 let kind_bits = 3
 let kind_mask = (1 lsl kind_bits) - 1
 
-type edges = { n_nodes : int; table : int Edges.t }
+(* Per destination: its in-edges as [src; packed; src; packed; ...]. *)
+type edges = int array array
 
 type t = {
   instrs : Instr.t array;
@@ -45,39 +43,71 @@ type t = {
 }
 
 let edge_kinds t ~src ~dst =
-  match Edges.find_opt t.kinds.table ((src * t.kinds.n_nodes) + dst) with
-  | Some v -> v land kind_mask
-  | None -> 0
+  if dst < 0 || dst >= Array.length t.kinds then 0
+  else
+    let ins = t.kinds.(dst) in
+    let rec find i =
+      if i >= Array.length ins then 0
+      else if ins.(i) = src then ins.(i + 1) land kind_mask
+      else find (i + 2)
+    in
+    find 0
 
 let mem_of (i : Instr.t) =
   match i.Instr.mem with Some m -> m | None -> Mem_info.unknown
 
+module Regs = Hashtbl.Make (Int)
+
+(* Every edge added while instruction [k] is processed ends at [k], so
+   [k]'s in-edges collect in [slot], indexed by source, with the sources
+   touched so far in [touched]; once [k] is done they move into [preds],
+   [succs] and [kinds] and the slots are cleared for [k + 1]. *)
 let build ?classify (config : Config.t) (instrs : Instr.t list) =
   let instrs = Array.of_list instrs in
   let n = Array.length instrs in
   let succs = Array.make n [] in
   let preds = Array.make n [] in
-  let edges = Edges.create (4 * n) in
+  let kinds = Array.make n [||] in
+  (* packed weight and kinds of the edge from each source to [k], 0 for
+     none (every edge has a kind bit) *)
+  let slot = Array.make n 0 in
+  let touched = Array.make n 0 and n_touched = ref 0 in
   let n_edges = ref 0 in
   let n_pruned = ref 0 in
   (* a pair carrying several hazards keeps the largest weight and the
      union of their kinds *)
-  let add_edge ~kind src dst weight =
-    if src <> dst then begin
-      let key = (src * n) + dst in
-      match Edges.find_opt edges key with
-      | Some v ->
-          let w = max weight (v asr kind_bits) in
-          Edges.replace edges key
-            ((w lsl kind_bits) lor (v land kind_mask) lor kind)
-      | None ->
-          Edges.add edges key ((weight lsl kind_bits) lor kind);
-          incr n_edges
+  let add_edge ~kind src k weight =
+    if src <> k then begin
+      let v = slot.(src) in
+      if v = 0 then begin
+        slot.(src) <- (weight lsl kind_bits) lor kind;
+        touched.(!n_touched) <- src;
+        incr n_touched
+      end
+      else
+        let w = max weight (v asr kind_bits) in
+        slot.(src) <- (w lsl kind_bits) lor (v land kind_mask) lor kind
     end
   in
+  let flush k =
+    let ins = Array.make (2 * !n_touched) 0 in
+    for e = 0 to !n_touched - 1 do
+      let src = touched.(e) in
+      let v = slot.(src) in
+      let weight = v asr kind_bits in
+      succs.(src) <- (k, weight) :: succs.(src);
+      preds.(k) <- (src, weight) :: preds.(k);
+      ins.(2 * e) <- src;
+      ins.((2 * e) + 1) <- v;
+      slot.(src) <- 0
+    done;
+    kinds.(k) <- ins;
+    n_edges := !n_edges + !n_touched;
+    n_touched := 0
+  in
   (* last definition and uses-since-definition per register *)
-  let last_def : (int, int) Hashtbl.t = Hashtbl.create 64 in
-  let uses_since : (int, int list) Hashtbl.t = Hashtbl.create 64 in
+  let last_def : int Regs.t = Regs.create 64 in
+  let uses_since : int list Regs.t = Regs.create 64 in
   (* memory operations so far: (index, is_store, mem) *)
   let mem_ops = ref [] in
   let barrier = ref None in
@@ -91,17 +121,17 @@ let build ?classify (config : Config.t) (instrs : Instr.t list) =
       (* RAW *)
       List.iter
         (fun r ->
-          match Hashtbl.find_opt last_def (Reg.index r) with
+          match Regs.find_opt last_def (Reg.index r) with
           | Some d -> add_edge ~kind:kind_reg d k (latency_of d)
           | None -> ())
         (Instr.uses i);
       (* WAR and WAW *)
       List.iter
         (fun d ->
-          (match Hashtbl.find_opt uses_since (Reg.index d) with
+          (match Regs.find_opt uses_since (Reg.index d) with
           | Some users -> List.iter (fun u -> add_edge ~kind:kind_reg u k 0) users
           | None -> ());
-          match Hashtbl.find_opt last_def (Reg.index d) with
+          match Regs.find_opt last_def (Reg.index d) with
           | Some prev -> add_edge ~kind:kind_reg prev k 0
           | None -> ())
         (Instr.defs i);
@@ -136,30 +166,25 @@ let build ?classify (config : Config.t) (instrs : Instr.t list) =
         for j = 0 to k - 1 do
           add_edge ~kind:kind_order j k 0
         done;
+      flush k;
       (* bookkeeping *)
       List.iter
         (fun r ->
           let k' = Reg.index r in
-          let prev = Option.value (Hashtbl.find_opt uses_since k') ~default:[] in
-          Hashtbl.replace uses_since k' (k :: prev))
+          let prev = Option.value (Regs.find_opt uses_since k') ~default:[] in
+          Regs.replace uses_since k' (k :: prev))
         (Instr.uses i);
       List.iter
         (fun d ->
-          Hashtbl.replace last_def (Reg.index d) k;
-          Hashtbl.replace uses_since (Reg.index d) [])
+          Regs.replace last_def (Reg.index d) k;
+          Regs.replace uses_since (Reg.index d) [])
         (Instr.defs i))
     instrs;
-  Edges.iter
-    (fun key v ->
-      let src = key / n and dst = key mod n and weight = v asr kind_bits in
-      succs.(src) <- (dst, weight) :: succs.(src);
-      preds.(dst) <- (src, weight) :: preds.(dst))
-    edges;
   { instrs;
     succs;
     preds;
     n_edges = !n_edges;
-    kinds = { n_nodes = n; table = edges };
+    kinds;
     n_pruned = !n_pruned;
   }
 

@@ -58,7 +58,7 @@ let measure_prepared ?cache ?options (config : Config.t) pr =
    of re-interpreting; bit-identical to [measure] of the same program
    (see Trace_buffer). *)
 let measure_replay ?cache ?options (config : Config.t) trace program =
-  measure_prepared ?cache ?options config (Trace_buffer.prepare trace program)
+  measure_prepared ?cache ?options config (Trace_buffer.bind trace program)
 
 (* ---- Segmented replay ---------------------------------------------- *)
 
@@ -98,7 +98,7 @@ let seg_advance config pr cu segment timing =
 let replay_segmented_start ?cache ?options ?(segment = default_segment)
     (config : Config.t) trace program =
   let segment = max 1 segment in
-  let pr = Trace_buffer.prepare trace program in
+  let pr = Trace_buffer.bind trace program in
   let cu = Trace_buffer.start pr in
   let timing = Timing.create ?cache ~registers:(registers_of options) config in
   seg_advance config pr cu segment timing

@@ -38,7 +38,7 @@ val measure_replay :
     program when the trace was captured from a schedule-sibling of
     [program] (raises {!Trace_buffer.Divergence} otherwise);
     [options] only contributes the register-file size.  Same as
-    {!measure_prepared} of {!Trace_buffer.prepare}. *)
+    {!measure_prepared} of {!Trace_buffer.bind}. *)
 
 val measure_prepared :
   ?cache:Cache.t ->
@@ -46,8 +46,8 @@ val measure_prepared :
   Config.t ->
   Trace_buffer.prepared ->
   run
-(** Time a binary already bound to a flat trace ({!Trace_buffer.bind})
-    against [config]: the sweep engine flattens each capture once and
+(** Time a binary already bound to a trace ({!Trace_buffer.bind})
+    against [config]: the sweep engine captures each program once and
     binds every schedule of it. *)
 
 (** {1 Segmented replay}

@@ -332,7 +332,7 @@ let flag_load = 1
 let flag_control = 2
 
 type visits = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
-type addresses = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+type addresses = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 type flat_walk = {
   mutable fw_visit : int;
@@ -361,7 +361,9 @@ let replay_flat t (code : flat_code) (visits : visits) (addrs : addresses)
     let abase = w.fw_abase in
     for j = first + from to first + stop - 1 do
       let rank = code.fc_mrank.(j) in
-      let addr = if rank < 0 then -1 else addrs.{abase + rank} in
+      let addr =
+        if rank < 0 then -1 else Int32.to_int addrs.{abase + rank}
+      in
       let flags = code.fc_flags.(j) in
       let r0 = code.fc_reg_first.(j) and nd = code.fc_ndefs.(j) in
       step t ~cls:code.fc_cls.(j)

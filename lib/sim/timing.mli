@@ -166,7 +166,7 @@ val flag_control : int
 type visits = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
 (** Segment numbers, one per dynamic visit. *)
 
-type addresses = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+type addresses = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
 (** Effective addresses: each visit's block of [fc_seg_mem] entries, in
     visit order. *)
 

@@ -1,30 +1,24 @@
 (** Capture-once/replay-many dynamic traces.
 
-    {!capture} runs the functional interpreter once over a program and
-    records the dynamic instruction stream compactly, per static
-    instruction: effective-address sequences for loads and stores
-    (packed int arrays) and taken-bit sequences for conditional branches
-    (62 bits per word), plus the run summary.  The buffer costs roughly
-    one word per dynamic memory access — a few megabytes for the
-    heaviest benchmark — where the list-of-records {!Trace} capture
-    could not hold the full stream.
+    A trace is kept per {e issue segment}: a run of a basic block that
+    ends at a call, at another control transfer or at the block's end
+    (numbered by {!Exec.layout}).  Scheduling permutes instructions only
+    within basic blocks, never across calls or the terminator, so a
+    segment holds the same instructions in every schedule of the
+    captured program, and the sequence of segments control visits, with
+    the addresses of each visit's loads and stores, is
+    schedule-invariant.
 
-    Replay goes through a flat form of the trace.  An {e issue segment}
-    is a run of a basic block that ends at a call, at another control
-    transfer or at the block's end.  Scheduling permutes instructions
-    only within basic blocks, never across calls or the terminator, so
-    a segment holds the same instructions in every schedule of the
-    captured program, and branch outcomes and address sequences are
-    schedule-invariant.  {!flatten} walks the captured program once,
-    checking every stream, and keeps two exact-size arrays off the
-    OCaml heap: the dynamic sequence of segment visits and each visit's
-    memory addresses.  {!bind} lays one schedule-sibling binary over
-    that form, checking that every instruction stays in its segment and
-    that control leaves every segment the same way, and decodes it in
-    its own order for {!Timing.replay_flat}.  That loop lives in
-    {!Timing}, next to the issue step it shares with {!Timing.issue},
-    because the dev profile compiles with [-opaque] and a loop here
-    would reach the step through a generic application per
+    {!capture} runs the executor once with its recorder, which appends
+    every segment visit and every effective address to off-heap chunks
+    as it runs: the trace is two exact-size arrays outside the OCaml
+    heap, plus the run summary.  {!bind} lays one schedule-sibling
+    binary over it, checking that every instruction stays in its
+    segment and that control leaves every segment the same way, and
+    decodes it in its own order for {!Timing.replay_flat}.  That loop
+    lives in {!Timing}, next to the issue step it shares with
+    {!Timing.issue}, because the dev profile compiles with [-opaque] and
+    a loop here would reach the step through a generic application per
     instruction.  Replay feeds the issue step exactly the stream a
     direct {!Timing.observer} would, so the resulting timing — cycles,
     stalls, histogram, cache behaviour — is bit-identical to a direct
@@ -33,18 +27,20 @@
 open Ilp_ir
 
 exception Divergence of string
-(** The buffer and a program disagree: an instruction stream ran short
-    or was not fully consumed, the replayed length differs from the
-    capture, or a binary is not a schedule-sibling of the captured
-    program (an instruction is missing, foreign, duplicated or outside
-    its issue segment, or control leaves a segment differently). *)
+(** The trace and a program disagree: a stored trace's visits do not
+    follow the program's control flow or its totals differ, or a binary
+    is not a schedule-sibling of the captured program (an instruction is
+    missing, foreign, duplicated or outside its issue segment, or
+    control leaves a segment differently). *)
 
 type t
+(** A captured trace over its program's issue segments.  Immutable; it
+    may be bound and replayed from any domain. *)
 
 val capture :
   ?options:Exec.options -> ?observers:Exec.observer list -> Program.t -> t
-(** Execute [p] once and record its dynamic trace.  Additional
-    [observers] ride along on the same functional pass. *)
+(** Execute [p] once ({!Exec.record}) and keep its flat trace.
+    Additional [observers] ride along on the same functional pass. *)
 
 val dyn_instrs : t -> int
 (** Dynamically executed instructions of the captured run. *)
@@ -55,92 +51,65 @@ val sink : t -> Value.t
 val class_counts : t -> int array
 (** Dynamic instruction-class counts of the captured run. *)
 
-val footprint_words : t -> int
-(** Approximate buffer size in words, for reporting. *)
-
 type stats = {
-  mem_streams : int;  (** static loads/stores with a recorded stream *)
-  branch_streams : int;  (** static conditional branches traced *)
-  addr_entries : int;  (** recorded effective addresses in total *)
-  taken_bits : int;  (** recorded branch outcomes in total *)
+  visits : int;  (** dynamic segment visits *)
+  addresses : int;  (** recorded effective addresses *)
   dyn : int;  (** dynamic instructions of the captured run *)
-  packed_bytes : int;
-      (** exact payload bytes when packed: 8 per address, 8 per 62
-          taken bits *)
+  bytes : int;  (** payload bytes: 4 per visit and per address *)
 }
 
 val stats : t -> stats
-(** What this capture costs: traced static instructions (memory and
-    branch streams), dynamic steps, and packed bytes. *)
 
 val byte_size : t -> int
-(** [= (stats t).packed_bytes]. *)
+(** [= (stats t).bytes]. *)
 
 val equal : t -> t -> bool
-(** Logical equality of two captures: same run summary and bit-identical
-    recorded streams per traced instruction.  A buffer compares equal to
+(** Same run summary, visits and addresses.  A trace compares equal to
     its {!pack}/{!unpack} round trip. *)
 
 (** {1 Packing for the persistent trace store}
 
-    The in-memory buffer keys streams by [Instr.id] — a process-local
-    counter.  {!pack} re-keys them by flat static position (functions in
-    program order, blocks in layout order, instructions in block order),
-    a pure function of the compiled program, so a packed trace written
-    by one process re-attaches exactly in another process that compiled
-    the same program.  [Ilp_store] serializes this form to disk. *)
+    Segment numbers are a pure function of the compiled program, so the
+    flat form is already position-independent: a packed trace written by
+    one process re-attaches in another that compiled the same program.
+    [Ilp_store] serializes this form to disk. *)
 
 type packed = {
   p_dyn_instrs : int;
   p_sink : Value.t;
   p_class_counts : int array;
-  p_addrs : (int * int array) array;
-      (** (flat position, effective addresses), sorted by position *)
-  p_branches : (int * int * int array) array;
-      (** (flat position, taken-bit count, packed words), sorted *)
+  p_visits : Timing.visits;
+  p_addrs : Timing.addresses;
 }
 
-val pack : t -> Program.t -> packed
-(** Re-key the buffer's streams by flat static position in [program]
-    (the program the trace was captured from, or any schedule-sibling
-    built in this process).  Raises {!Divergence} if a traced
-    instruction is not in the program. *)
+val pack : t -> packed
+(** The trace's summary and arrays (shared, not copied). *)
+
+val packed_stats : packed -> stats
+(** {!stats} of a packed trace; [stats t = packed_stats (pack t)]. *)
 
 val unpack : packed -> Program.t -> t
-(** Re-attach a packed trace to [program]'s instruction identities.
-    Raises {!Divergence} when a stream's position falls outside the
-    program or appears twice.  [unpack (pack t p) p] is {!equal} to
-    [t]. *)
+(** Attach a packed trace to [program], re-validating it: the first
+    visit is [main]'s entry segment, every later visit is a way control
+    can leave the one before (a call returns to the segment after it),
+    the last ends the run, and the visits' instruction, address and
+    class totals are the packed summary's.  Raises {!Divergence}
+    otherwise.  [unpack (pack t) p] is {!equal} to [t] when [t] was
+    captured from [p]. *)
 
-(** {1 Flat replay} *)
-
-type flat
-(** A trace flattened over its captured program: the segment table, the
-    visit sequence and the addresses.  Immutable; it holds no reference
-    to the per-instruction streams, which may be dropped once it is
-    built. *)
-
-val flatten : t -> flat
-(** The flat form of [t], built by one checked walk of the captured
-    program the first time it is asked for and shared afterwards, from
-    any domain.  Raises {!Divergence} where the recorded streams and the
-    program disagree. *)
+(** {1 Replay} *)
 
 type prepared
-(** A flat trace bound to one concrete binary: its instructions decoded
-    in the binary's own order, slot by slot per issue segment.
-    Immutable after construction; many cursors may walk one
-    [prepared]. *)
+(** A trace bound to one concrete binary: its instructions decoded in
+    the binary's own order, slot by slot per issue segment.  Immutable
+    after construction; many cursors may walk one [prepared]. *)
 
-val bind : flat -> Program.t -> prepared
-(** Bind the flat trace to a schedule-sibling [binary] of the captured
+val bind : t -> Program.t -> prepared
+(** Bind the trace to a schedule-sibling [binary] of the captured
     program.  Allocates per static instruction only.  Raises
     {!Divergence} unless every instruction of the binary is traced and
     sits in its own issue segment exactly once, every segment is
     present, and control leaves each segment as in the capture. *)
-
-val prepare : t -> Program.t -> prepared
-(** [bind (flatten t) binary]. *)
 
 type summary = {
   s_dyn_instrs : int;
@@ -155,7 +124,7 @@ val summary : prepared -> summary
 val replay : t -> Program.t -> Timing.t -> unit
 (** [replay t binary timing] drives [timing] with the captured stream
     laid over [binary].  Raises {!Divergence} if [binary] is not a
-    schedule-sibling of the captured program.  Equivalent to {!prepare}
+    schedule-sibling of the captured program.  Equivalent to {!bind}
     followed by one whole-trace {!replay_steps}. *)
 
 (** {1 Segmented replay}
@@ -185,5 +154,5 @@ val steps : cursor -> int
 val replay_steps : prepared -> cursor -> Timing.t -> max_steps:int -> unit
 (** Replay at most [max_steps] further dynamic instructions into
     [timing] ([max_steps <= 0] replays nothing).  Every consistency
-    check has already run in {!flatten} and {!bind}, so this never
-    raises {!Divergence}. *)
+    check has already run in {!capture} or {!unpack} and in {!bind}, so
+    this never raises {!Divergence}. *)

@@ -15,7 +15,7 @@ type key = {
 }
 
 let magic = "ILPTRACE"
-let format_version = 1
+let format_version = 2
 
 let mode_name = function
   | `None -> "none"
@@ -57,6 +57,13 @@ let add_u16 b x = Buffer.add_uint16_le b (x land 0xffff)
 let add_u32 b x = Buffer.add_int32_le b (Int32.of_int x)
 let add_i64 b x = Buffer.add_int64_le b (Int64.of_int x)
 
+(* a u32 count, then the elements *)
+let add_int32s b (a : Ilp_sim.Timing.visits) =
+  add_u32 b (Bigarray.Array1.dim a);
+  for i = 0 to Bigarray.Array1.dim a - 1 do
+    Buffer.add_int32_le b a.{i}
+  done
+
 let add_str b s =
   add_u16 b (String.length s);
   Buffer.add_string b s
@@ -72,12 +79,8 @@ let encode k (pk : TB.packed) =
   let estimate =
     64 + String.length k.workload
     + (8 * Array.length pk.TB.p_class_counts)
-    + Array.fold_left
-        (fun acc (_, a) -> acc + 8 + (8 * Array.length a))
-        0 pk.TB.p_addrs
-    + Array.fold_left
-        (fun acc (_, _, w) -> acc + 12 + (8 * Array.length w))
-        0 pk.TB.p_branches
+    + (4 * Bigarray.Array1.dim pk.TB.p_visits)
+    + (4 * Bigarray.Array1.dim pk.TB.p_addrs)
   in
   let b = Buffer.create estimate in
   Buffer.add_string b magic;
@@ -101,21 +104,8 @@ let encode k (pk : TB.packed) =
       Buffer.add_int64_le b (Int64.bits_of_float x));
   add_u16 b (Array.length pk.TB.p_class_counts);
   Array.iter (add_i64 b) pk.TB.p_class_counts;
-  add_u32 b (Array.length pk.TB.p_addrs);
-  Array.iter
-    (fun (pos, addrs) ->
-      add_u32 b pos;
-      add_u32 b (Array.length addrs);
-      Array.iter (add_i64 b) addrs)
-    pk.TB.p_addrs;
-  add_u32 b (Array.length pk.TB.p_branches);
-  Array.iter
-    (fun (pos, bits, words) ->
-      add_u32 b pos;
-      add_u32 b bits;
-      add_u32 b (Array.length words);
-      Array.iter (add_i64 b) words)
-    pk.TB.p_branches;
+  add_int32s b pk.TB.p_visits;
+  add_int32s b pk.TB.p_addrs;
   let body = Buffer.to_bytes b in
   let crc = Checksum.Crc32.bytes body ~pos:0 ~len:(Bytes.length body) in
   let out = Bytes.create (Bytes.length body + 4) in
@@ -172,15 +162,16 @@ let str c =
   c.pos <- c.pos + n;
   s
 
-(* explicit loops everywhere below: the cursor is side-effecting, and
-   [Array.init]'s application order is unspecified *)
-let int_array c n name =
-  if n < 0 || n > (c.limit - c.pos) / 8 then
+(* a u32 count, then that many u32 elements *)
+let int32s c name =
+  let n = u32 c in
+  if n > (c.limit - c.pos) / 4 then
     bad "%s: implausible element count %d" name n;
-  let a = Array.make n 0 in
+  let a = Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout n in
   for i = 0 to n - 1 do
-    a.(i) <- Int64.to_int (i64 c)
+    a.{i} <- Bytes.get_int32_le c.buf (c.pos + (4 * i))
   done;
+  c.pos <- c.pos + (4 * n);
   a
 
 let decode bytes =
@@ -232,30 +223,13 @@ let decode bytes =
     for i = 0 to n_classes - 1 do
       p_class_counts.(i) <- int_field c "class_count"
     done;
-    let n_addrs = u32 c in
-    if n_addrs > c.limit - c.pos then
-      bad "address streams: implausible count %d" n_addrs;
-    let p_addrs = Array.make n_addrs (0, [||]) in
-    for i = 0 to n_addrs - 1 do
-      let pos = u32 c in
-      let n = u32 c in
-      p_addrs.(i) <- (pos, int_array c n "address stream")
-    done;
-    let n_branches = u32 c in
-    if n_branches > c.limit - c.pos then
-      bad "branch streams: implausible count %d" n_branches;
-    let p_branches = Array.make n_branches (0, 0, [||]) in
-    for i = 0 to n_branches - 1 do
-      let pos = u32 c in
-      let bits = u32 c in
-      let words = u32 c in
-      p_branches.(i) <- (pos, bits, int_array c words "branch stream")
-    done;
+    let p_visits = int32s c "visits" in
+    let p_addrs = int32s c "addresses" in
     if c.pos <> c.limit then
       bad "trailing garbage: %d bytes past the payload" (c.limit - c.pos);
     Ok
       ( key,
-        { TB.p_dyn_instrs; p_sink; p_class_counts; p_addrs; p_branches } )
+        { TB.p_dyn_instrs; p_sink; p_class_counts; p_visits; p_addrs } )
   with Bad msg -> Error msg
 
 let decode_for expect bytes =

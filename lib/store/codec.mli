@@ -1,5 +1,5 @@
 (** The trace store's on-disk format: a versioned, CRC-protected binary
-    serialization of a packed trace plus the key that addresses it.
+    serialization of a packed flat trace plus the key that addresses it.
 
     Byte layout (all integers little-endian):
 
@@ -18,10 +18,10 @@
               dyn_instrs           i64
               sink                 u8 tag (0 int, 1 float) + i64
               class_counts         u16 count + count x i64
-              address streams      u32 n; each: u32 pos, u32 len,
-                                   len x i64 (flat effective addresses)
-              branch streams       u32 n; each: u32 pos, u32 bits,
-                                   u32 words, words x i64 (62 bits/word)
+              visits               u32 n; n x u32 (issue-segment
+                                   numbers, in visit order)
+              addresses            u32 n; n x u32 (effective addresses,
+                                   in execution order)
     end-4   CRC-32 (u32) over bytes [0, end-4)
     v}
 

@@ -1,7 +1,8 @@
 (* Canonical program fingerprint — see the .mli for what is and is not
    covered.  The traversal order (globals, then functions in program
    order, blocks in layout order, instructions in block order) is the
-   same flat order [Trace_buffer.pack] keys its streams by. *)
+   same order [Exec.layout] numbers the issue segments of a stored
+   trace in. *)
 
 open Ilp_ir
 

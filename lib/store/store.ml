@@ -151,9 +151,9 @@ let verify t =
              with Sys_error msg -> Error msg
            with
            | Error _ as e -> e
-           | Ok (key, _) ->
+           | Ok (key, pk) ->
                let expected = Codec.key_id key ^ ".trace" in
-               if String.equal base expected then Ok key
+               if String.equal base expected then Ok (key, pk)
                else
                  Error
                    (Printf.sprintf

@@ -9,7 +9,8 @@
     execution and goes straight to replay.
 
     Safety over availability: a file that fails any check — magic,
-    format version, CRC, key equality, stream re-attachment — is
+    format version, CRC, key equality, re-validation against the
+    program — is
     rejected with a loud diagnostic and the caller falls back to a
     fresh capture.  Writes go through a temp file and [rename], so
     concurrent writers (domains of one sweep, or separate processes)
@@ -69,7 +70,8 @@ val list : t -> entry list
 (** Every [*.trace] file, newest mtime first, each fully decoded (a
     corrupt file lists as [Error] rather than failing the listing). *)
 
-val verify : t -> (string * (Codec.key, string) result) list
+val verify :
+  t -> (string * (Codec.key * Ilp_sim.Trace_buffer.packed, string) result) list
 (** Decode every file and additionally require that its name matches
     its key's content address; [(basename, result)] per file. *)
 

@@ -44,3 +44,8 @@ let range_heavy_prog : Ilp_lang.Gen_prog.prog Gen.t =
 
 let range_heavy_program : string Gen.t =
   Gen.map Ilp_lang.Gen_prog.render range_heavy_prog
+
+(* A program of any of the four modes, in equal shares. *)
+let any_mode_program : string Gen.t =
+  Gen.oneof
+    [ program; alias_heavy_program; unroll_heavy_program; range_heavy_program ]

@@ -393,6 +393,163 @@ let test_first_difference () =
   let high = memory_of [ Builder.li (r 1) 3; store_at ((1 lsl 20) - 1) (r 1) ] in
   check "last word" (Some ((1 lsl 20) - 1)) (diff nothing high)
 
+(* --- an empty entry block ------------------------------------------------ *)
+
+(* [main]'s entry block is empty: control falls through it like any
+   other empty block, in a direct run and in a captured trace. *)
+let test_empty_entry_block () =
+  let p =
+    Program.make
+      ~globals:[ { Program.gname = "__sink"; words = 1; init = Program.Zero } ]
+      ~functions:
+        [ Func.make ~name:"main" ~frame_size:0 ~n_params:0
+            [ Block.make (Label.of_string "main") [];
+              Block.make (Label.of_string "body")
+                [ Builder.li (r 9) 5;
+                  Builder.li (r 8) sink_addr;
+                  Builder.st ~value:(r 9) ~base:(r 8) ~offset:0 ();
+                  Builder.halt () ] ]
+        ]
+  in
+  Alcotest.(check (list string)) "the program validates" []
+    (List.map (Fmt.to_to_string Validate.pp_issue) (Validate.check p));
+  let outcome = Ilp_sim.Exec.run p in
+  Alcotest.check Helpers.value_testable "run reaches the sink"
+    (Ilp_sim.Value.Int 5) outcome.Ilp_sim.Exec.sink;
+  Alcotest.(check int) "run executes the body" 4
+    outcome.Ilp_sim.Exec.dyn_instrs;
+  let trace = Ilp_sim.Trace_buffer.capture p in
+  Alcotest.check Helpers.value_testable "capture reaches the sink"
+    (Ilp_sim.Value.Int 5) (Ilp_sim.Trace_buffer.sink trace);
+  let config = Ilp_machine.Presets.superscalar 2 in
+  let direct = Ilp_sim.Timing.create config in
+  ignore (Ilp_sim.Exec.run ~observer:(Ilp_sim.Timing.observer direct) p);
+  Ilp_sim.Timing.finish direct;
+  let replayed = Ilp_sim.Timing.create config in
+  Ilp_sim.Trace_buffer.replay trace p replayed;
+  Ilp_sim.Timing.finish replayed;
+  Alcotest.(check int) "replay issues the body" 4
+    (Ilp_sim.Timing.instrs replayed);
+  Alcotest.(check int) "replay times the body as a direct run"
+    (Ilp_sim.Timing.minor_cycles direct)
+    (Ilp_sim.Timing.minor_cycles replayed)
+
+(* --- the pre-decoded core against the reference interpreter ------------- *)
+
+module Exec = Ilp_sim.Exec
+
+(* What the hooks of one run saw, newest first. *)
+type streams = {
+  mutable observed : (int * int) list;  (** instruction id, address *)
+  mutable branched : (int * bool) list;
+  mutable stored : (int * int * Ilp_sim.Value.t) list;
+}
+
+let watch () = { observed = []; branched = []; stored = [] }
+let observe s (i : Instr.t) addr = s.observed <- (i.Instr.id, addr) :: s.observed
+let branch s (i : Instr.t) taken = s.branched <- (i.Instr.id, taken) :: s.branched
+
+let store s (i : Instr.t) addr v =
+  s.stored <- (i.Instr.id, addr, v) :: s.stored
+
+let outcome_of f =
+  match f () with
+  | o -> Ok o
+  | exception Exec.Fault msg -> Error ("fault: " ^ msg)
+  | exception Exec_ref.Fault msg -> Error ("fault: " ^ msg)
+  | exception e -> Error (Printexc.to_string e)
+
+(* Where the two interpreters disagree on [p], or [None].  Streams and
+   values compare structurally ([compare], so a NaN equals itself). *)
+let disagreement ~options p =
+  let rs = watch () and ns = watch () in
+  let reference =
+    outcome_of (fun () ->
+        Exec_ref.run ~options ~observer:(observe rs) ~on_branch:(branch rs)
+          ~on_store:(store rs) p)
+  in
+  let got =
+    outcome_of (fun () ->
+        Exec.run ~options ~observer:(observe ns) ~on_branch:(branch ns)
+          ~on_store:(store ns) p)
+  in
+  let same a b = compare a b = 0 in
+  if not (same rs.observed ns.observed) then Some "observer streams differ"
+  else if not (same rs.branched ns.branched) then Some "on_branch streams differ"
+  else if not (same rs.stored ns.stored) then Some "store streams differ"
+  else
+    match (reference, got) with
+    | Error a, Error b -> if String.equal a b then None else Some (a ^ " vs " ^ b)
+    | Error a, Ok _ -> Some ("only the reference failed: " ^ a)
+    | Ok _, Error b -> Some ("only the core failed: " ^ b)
+    | Ok r, Ok n ->
+        let mismatch =
+          List.find_opt
+            (fun (_, ok) -> not ok)
+            [ ("sink", same r.Exec_ref.sink n.Exec.sink);
+              ("dynamic count", r.Exec_ref.dyn_instrs = n.Exec.dyn_instrs);
+              ("class counts", r.Exec_ref.class_counts = n.Exec.class_counts);
+              ("per_function", r.Exec_ref.per_function = n.Exec.per_function);
+              ("final registers", same r.Exec_ref.regs n.Exec.regs);
+              ( "final memory",
+                List.for_all
+                  (fun (base, page) ->
+                    let ok = ref true in
+                    Array.iteri
+                      (fun j v ->
+                        if base + j < options.Exec.mem_words then
+                          ok := !ok && same v (Exec.load n.Exec.memory (base + j)))
+                      page;
+                    !ok)
+                  (Exec_ref.touched_pages r.Exec_ref.memory) ) ]
+        in
+        Option.map (fun (what, _) -> what ^ " differ") mismatch
+
+(* The snapshots a program passes through: every [on_pass] program of an
+   O0 and an O4 compile (codegen and each pass, virtual or allocated),
+   and the final binaries. *)
+let snapshots config source =
+  let acc = ref [] in
+  let on_pass _ _ p = acc := p :: !acc in
+  List.iter
+    (fun level ->
+      let binary = Ilp_core.Ilp.compile ~on_pass ~level config source in
+      acc := binary :: !acc)
+    [ Ilp_core.Ilp.O0; Ilp_core.Ilp.O4 ];
+  List.rev !acc
+
+let oracle_options = { Exec.default_options with mem_words = 1 lsl 14 }
+
+let fuzz_configs =
+  [ Ilp_machine.Presets.base;
+    Ilp_machine.Config.make "ss8-6temps" ~issue_width:8 ~temp_regs:6 ]
+
+(* Every snapshot runs to the end, and again on half its step budget so
+   the budget fault, and everything observed before it, must agree. *)
+let prop_matches_reference =
+  QCheck2.Test.make ~count:40
+    ~name:"random programs: Exec = reference interpreter on every snapshot"
+    ~print:(fun s -> s)
+    Gen_minimod.any_mode_program
+    (fun source ->
+      List.for_all
+        (fun config ->
+          List.for_all
+            (fun p ->
+              let check options =
+                match disagreement ~options p with
+                | None -> true
+                | Some what ->
+                    QCheck2.Test.fail_reportf "%s on %s (budget %d)" what
+                      config.Ilp_machine.Config.name options.Exec.max_steps
+              in
+              check oracle_options
+              &&
+              let dyn = (Exec.run ~options:oracle_options p).Exec.dyn_instrs in
+              check { oracle_options with Exec.max_steps = dyn / 2 })
+            (snapshots config source))
+        fuzz_configs)
+
 let tests =
   [ Alcotest.test_case "integer arithmetic" `Quick test_int_arith;
     Alcotest.test_case "logic and shifts" `Quick test_int_logic_shift;
@@ -417,4 +574,7 @@ let tests =
       test_edge_words_roundtrip;
     Alcotest.test_case "out-of-range access faults" `Quick
       test_out_of_range_faults;
-    Alcotest.test_case "first_difference" `Quick test_first_difference ]
+    Alcotest.test_case "first_difference" `Quick test_first_difference;
+    Alcotest.test_case "empty entry block falls through" `Quick
+      test_empty_entry_block;
+    QCheck_alcotest.to_alcotest prop_matches_reference ]

@@ -126,7 +126,7 @@ let test_measure_replay_equals_measure () =
 let segmented_timing ?cache config trace binary (sizes : int array) =
   if not (Array.exists (fun s -> s > 0) sizes) then
     invalid_arg "segmented_timing: all-zero segment sizes";
-  let pr = Trace_buffer.prepare trace binary in
+  let pr = Trace_buffer.bind trace binary in
   let cu = Trace_buffer.start pr in
   let t = ref (Timing.create ?cache config) in
   let k = ref 0 in
@@ -257,12 +257,12 @@ let test_footprint_reported () =
   let pre = Ilp_core.Ilp.compile_unscheduled ~level Presets.base w.W.source in
   let trace = Trace_buffer.capture pre in
   Alcotest.(check bool) "non-trivial footprint" true
-    (Trace_buffer.footprint_words trace > 0);
-  Alcotest.(check bool) "bounded by dynamic memory accesses" true
-    (Trace_buffer.footprint_words trace < Trace_buffer.dyn_instrs trace * 4)
+    (Trace_buffer.byte_size trace > 0);
+  Alcotest.(check bool) "bounded by four words per dynamic instruction" true
+    (Trace_buffer.byte_size trace < Trace_buffer.dyn_instrs trace * 4 * 8)
 
 (* The replay hot path allocates nothing per dynamic instruction: the
-   whole [measure_replay] call, flattening and binding included, stays
+   whole [measure_replay] call, binding included, stays
    under one minor word per replayed instruction.  A per-instruction
    closure, boxed result or captured [ref] in the issue step costs
    several words each and fails this. *)
@@ -300,13 +300,13 @@ let test_bound_replay_allocation () =
     | None -> Alcotest.fail "no linpack workload"
   in
   let pre = Ilp_core.Ilp.compile_unscheduled ~level Presets.base w.W.source in
-  let flat = Trace_buffer.flatten (Trace_buffer.capture pre) in
+  let trace = Trace_buffer.capture pre in
   List.iter
     (fun (config, cache) ->
       let binary = Ilp_core.Ilp.schedule ~level config pre in
       let static = Ilp_ir.Program.instr_count binary in
       let before = Gc.minor_words () in
-      let pr = Trace_buffer.bind flat binary in
+      let pr = Trace_buffer.bind trace binary in
       let bound = Gc.minor_words () in
       let run = Metrics.measure_prepared ?cache config pr in
       let after = Gc.minor_words () in
@@ -322,12 +322,66 @@ let test_bound_replay_allocation () =
     [ (Presets.superpipelined 8, None);
       (Presets.superscalar_with_class_conflicts 4, Some (fresh_cache ())) ]
 
+(* Capture runs the executor's own loop with a recorder: it allocates
+   the values the program computes and the recorder's chunks, well
+   under three minor words per dynamic instruction on every paper
+   workload.  A per-step record or list cell costs more and fails
+   this. *)
+let test_capture_allocation () =
+  List.iter
+    (fun (w : W.t) ->
+      let unroll, source = Ilp_core.Experiments.workload_source w in
+      let pre =
+        Ilp_core.Ilp.compile_unscheduled ?unroll ~level Presets.base source
+      in
+      let before = Gc.minor_words () in
+      let trace = Trace_buffer.capture pre in
+      let per_instr =
+        (Gc.minor_words () -. before)
+        /. float_of_int (Trace_buffer.dyn_instrs trace)
+      in
+      if per_instr >= 3.0 then
+        Alcotest.failf "%s: capture took %.2f minor words per instruction"
+          w.W.name per_instr)
+    Ilp_workloads.Registry.all
+
+(* The recorded trace, replayed, times a random program exactly as
+   [Timing.observer] does when the reference interpreter drives it. *)
+let prop_replay_matches_reference =
+  QCheck2.Test.make ~count:30
+    ~name:"random programs: recorded trace replay = reference-driven timing"
+    ~print:QCheck2.Print.(pair (fun s -> s) int)
+    QCheck2.Gen.(
+      pair Gen_minimod.any_mode_program (int_bound (List.length presets - 1)))
+    (fun (source, k) ->
+      let config = List.nth presets k in
+      let pre = Ilp_core.Ilp.compile_unscheduled ~level config source in
+      let binary = Ilp_core.Ilp.schedule ~level config pre in
+      let replayed =
+        Metrics.measure_replay config (Trace_buffer.capture pre) binary
+      in
+      let t = Timing.create config in
+      let o = Exec_ref.run ~observer:(Timing.observer t) binary in
+      Timing.finish t;
+      let direct =
+        { Metrics.machine = config.Config.name;
+          dyn_instrs = o.Exec_ref.dyn_instrs;
+          minor_cycles = Timing.minor_cycles t;
+          base_cycles = Timing.base_cycles t;
+          speedup = Timing.speedup t;
+          stall_cycles = t.Timing.stall_cycles;
+          class_counts = o.Exec_ref.class_counts;
+          sink = o.Exec_ref.sink;
+        }
+      in
+      compare replayed direct = 0)
+
 (* ------------------------------------------------------------------ *)
 (* binding refuses a binary whose instructions left their segments     *)
 
 open Ilp_ir
 
-(* The flat form of one workload with calls, and its captured program. *)
+(* The trace of one workload with calls, and its captured program. *)
 let bind_fixture =
   lazy
     (let w =
@@ -338,7 +392,7 @@ let bind_fixture =
      let pre =
        Ilp_core.Ilp.compile_unscheduled ~level Presets.base w.W.source
      in
-     (pre, Trace_buffer.flatten (Trace_buffer.capture pre)))
+     (pre, Trace_buffer.capture pre))
 
 let is_control (i : Instr.t) = Iclass.is_control (Instr.iclass i)
 
@@ -382,19 +436,19 @@ let swap_first pick =
   go
 
 let expect_divergence what binary =
-  let _, flat = Lazy.force bind_fixture in
-  match Trace_buffer.bind flat binary with
+  let _, trace = Lazy.force bind_fixture in
+  match Trace_buffer.bind trace binary with
   | exception Trace_buffer.Divergence _ -> ()
   | _ -> Alcotest.failf "%s: binding accepted the binary" what
 
 let test_bind_accepts_siblings () =
-  let pre, flat = Lazy.force bind_fixture in
+  let pre, trace = Lazy.force bind_fixture in
   List.iter
     (fun config ->
       ignore
-        (Trace_buffer.bind flat (Ilp_core.Ilp.schedule ~level config pre)))
+        (Trace_buffer.bind trace (Ilp_core.Ilp.schedule ~level config pre)))
     [ Presets.base; Presets.superscalar 8; Presets.superpipelined 8 ];
-  ignore (Trace_buffer.bind flat pre)
+  ignore (Trace_buffer.bind trace pre)
 
 let test_bind_rejects_move_across_call () =
   let pre, _ = Lazy.force bind_fixture in
@@ -449,6 +503,9 @@ let tests =
       test_replay_allocation;
     Alcotest.test_case "bound replay allocates per static instruction only"
       `Quick test_bound_replay_allocation;
+    Alcotest.test_case "capture allocates < 3 words per instruction" `Quick
+      test_capture_allocation;
+    QCheck_alcotest.to_alcotest prop_replay_matches_reference;
     Alcotest.test_case "bind accepts schedule siblings" `Quick
       test_bind_accepts_siblings;
     Alcotest.test_case "bind rejects a move across a call" `Quick

@@ -54,7 +54,7 @@ let capture_cell ?unroll ~level config source =
 (* round trips                                                         *)
 
 let check_roundtrip name key pre trace =
-  let packed = Trace_buffer.pack trace pre in
+  let packed = Trace_buffer.pack trace in
   let bytes = Codec.encode key packed in
   match Codec.decode bytes with
   | Error msg -> Alcotest.failf "%s: decode failed: %s" name msg
@@ -154,7 +154,7 @@ let prop_roundtrip_random_programs =
       if not (Int64.equal fp1 fp2) then false
       else
         let key = key_of ~workload:"qcheck" pre1 in
-        let bytes = Codec.encode key (Trace_buffer.pack trace1 pre1) in
+        let bytes = Codec.encode key (Trace_buffer.pack trace1) in
         match Codec.decode_for key bytes with
         | Error _ -> false
         | Ok packed ->
@@ -176,7 +176,7 @@ let small_fixture =
        capture_cell ~level:Ilp_core.Ilp.O4 Presets.base w.W.source
      in
      let key = key_of ~workload:"whet" pre in
-     (pre, trace, key, Codec.encode key (Trace_buffer.pack trace pre)))
+     (pre, trace, key, Codec.encode key (Trace_buffer.pack trace)))
 
 let flip bytes pos =
   let b = Bytes.copy bytes in
@@ -250,6 +250,71 @@ let test_key_collision_rejected () =
         (String.length msg > 0));
   ignore pre
 
+(* A stored trace passes every byte-level check and is still refused
+   when it does not fit the program: [unpack] follows its visits through
+   the program's segments and recounts its totals. *)
+let reload_rejected ~because name pre key (pk : Trace_buffer.packed) =
+  match Codec.decode_for key (Codec.encode key pk) with
+  | Error msg -> Alcotest.failf "%s: decode failed: %s" name msg
+  | Ok stored -> (
+      match Trace_buffer.unpack stored pre with
+      | exception Trace_buffer.Divergence msg ->
+          let contains hay needle =
+            let nh = String.length hay and nn = String.length needle in
+            let rec at i =
+              i + nn <= nh && (String.sub hay i nn = needle || at (i + 1))
+            in
+            at 0
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %s" name msg)
+            true (contains msg because)
+      | _ -> Alcotest.failf "%s: unpack accepted the trace" name)
+
+(* Replace a visit by a segment that control cannot reach from the
+   visit before it: one that is neither that segment's fall-through
+   successor nor its target, after a segment that does not return. *)
+let test_unpack_rejects_impossible_visit () =
+  let pre, trace, key, _ = Lazy.force small_fixture in
+  let l = Ilp_sim.Exec.layout pre in
+  let last s = l.Ilp_sim.Exec.seg_first.(s) + l.Ilp_sim.Exec.seg_len.(s) - 1 in
+  let successors s =
+    let e = last s and t = l.Ilp_sim.Exec.target.(last s) in
+    [ l.Ilp_sim.Exec.seg.(e + 1);
+      (if t < 0 then -1 else l.Ilp_sim.Exec.seg.(t)) ]
+  in
+  let returns s =
+    match l.Ilp_sim.Exec.code.(last s).Ilp_ir.Instr.op with
+    | Ilp_ir.Opcode.Ret | Ilp_ir.Opcode.Halt -> true
+    | _ -> false
+  in
+  let pk = Trace_buffer.pack trace in
+  let n = Bigarray.Array1.dim pk.Trace_buffer.p_visits in
+  let visits = Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout n in
+  Bigarray.Array1.blit pk.Trace_buffer.p_visits visits;
+  let k = ref (n / 2) in
+  while returns (Int32.to_int visits.{!k - 1}) do
+    incr k
+  done;
+  let before = Int32.to_int visits.{!k - 1} in
+  let impossible =
+    List.find (fun c -> not (List.mem c (successors before))) [ 0; 1; 2 ]
+  in
+  visits.{!k} <- Int32.of_int impossible;
+  reload_rejected ~because:"cannot follow"
+    "a visit that cannot follow the one before" pre key
+    { pk with Trace_buffer.p_visits = visits }
+
+let test_unpack_rejects_missing_address () =
+  let pre, trace, key, _ = Lazy.force small_fixture in
+  let pk = Trace_buffer.pack trace in
+  let addrs = pk.Trace_buffer.p_addrs in
+  reload_rejected ~because:"address" "a trace one address short" pre key
+    { pk with
+      Trace_buffer.p_addrs =
+        Bigarray.Array1.sub addrs 0 (Bigarray.Array1.dim addrs - 1);
+    }
+
 (* ------------------------------------------------------------------ *)
 (* the store on disk                                                   *)
 
@@ -260,7 +325,7 @@ let test_store_hit_miss_stats () =
       | Ok None -> ()
       | Ok (Some _) -> Alcotest.fail "hit in an empty store"
       | Error msg -> Alcotest.fail msg);
-      Store.save s key (Trace_buffer.pack trace pre);
+      Store.save s key (Trace_buffer.pack trace);
       (match Store.lookup s key with
       | Ok (Some packed) ->
           Alcotest.(check bool) "reloaded trace equals capture" true
@@ -275,8 +340,8 @@ let test_store_hit_miss_stats () =
 
 let test_store_rejects_corrupt_file () =
   with_fresh_store (fun s ->
-      let pre, trace, key, _ = Lazy.force small_fixture in
-      Store.save s key (Trace_buffer.pack trace pre);
+      let _, trace, key, _ = Lazy.force small_fixture in
+      Store.save s key (Trace_buffer.pack trace);
       let path = Filename.concat (Store.root s) (Codec.key_id key ^ ".trace") in
       let ic = open_in_bin path in
       let n = in_channel_length ic in
@@ -293,8 +358,8 @@ let test_store_rejects_corrupt_file () =
 
 let test_verify_catches_renamed_file () =
   with_fresh_store (fun s ->
-      let pre, trace, key, _ = Lazy.force small_fixture in
-      Store.save s key (Trace_buffer.pack trace pre);
+      let _, trace, key, _ = Lazy.force small_fixture in
+      Store.save s key (Trace_buffer.pack trace);
       let good = Filename.concat (Store.root s) (Codec.key_id key ^ ".trace") in
       let bad = Filename.concat (Store.root s) "0123456789abcdef.trace" in
       Sys.rename good bad;
@@ -308,8 +373,8 @@ let test_verify_catches_renamed_file () =
 
 let test_gc_is_lru () =
   with_fresh_store (fun s ->
-      let pre, trace, key, _ = Lazy.force small_fixture in
-      let packed = Trace_buffer.pack trace pre in
+      let _, trace, key, _ = Lazy.force small_fixture in
+      let packed = Trace_buffer.pack trace in
       let keys =
         List.map
           (fun w -> { key with Codec.workload = w })
@@ -341,8 +406,8 @@ let test_gc_is_lru () =
    a gc that evicts a never-hit sibling written later *)
 let test_hit_refreshes_lru () =
   with_fresh_store (fun s ->
-      let pre, trace, key, _ = Lazy.force small_fixture in
-      let packed = Trace_buffer.pack trace pre in
+      let _, trace, key, _ = Lazy.force small_fixture in
+      let packed = Trace_buffer.pack trace in
       let k_hit = { key with Codec.workload = "hot" } in
       let k_cold = { key with Codec.workload = "cold" } in
       Store.save s k_hit packed;
@@ -499,6 +564,10 @@ let tests =
       test_version_skew_rejected;
     Alcotest.test_case "key collision rejected" `Quick
       test_key_collision_rejected;
+    Alcotest.test_case "unpack rejects a visit that cannot follow" `Quick
+      test_unpack_rejects_impossible_visit;
+    Alcotest.test_case "unpack rejects a trace an address short" `Quick
+      test_unpack_rejects_missing_address;
     Alcotest.test_case "store hit/miss/stats" `Quick
       test_store_hit_miss_stats;
     Alcotest.test_case "store rejects corrupt file" `Quick

@@ -409,7 +409,8 @@ let flat_of_stream (stream : Timing_ref.instr array) =
       Int32.of_int
   in
   let addresses =
-    Bigarray.Array1.of_array Bigarray.int Bigarray.c_layout (of_rev !addrs)
+    Bigarray.Array1.of_array Bigarray.int32 Bigarray.c_layout
+      (Array.map Int32.of_int (of_rev !addrs))
   in
   (code, visits, addresses)
 
