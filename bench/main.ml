@@ -27,10 +27,6 @@ let jobs =
    what CI runs to publish the scaling artifact. *)
 let parallel_only = Array.exists (( = ) "--parallel-only") Sys.argv
 
-(* --store-only: run just the cold-vs-warm trace-store measurement
-   (writes BENCH_store.json) and skip everything else. *)
-let store_only = Array.exists (( = ) "--store-only") Sys.argv
-
 (* --memdep-only: run just the memory-disambiguation study (writes
    BENCH_memdep.json) and skip everything else — what CI runs to
    publish the disambiguation artifact. *)
@@ -175,78 +171,7 @@ let time_parallel () =
   Printf.printf "wrote BENCH_parallel.json\n\n%!"
 
 (* ------------------------------------------------------------------ *)
-(* 4. cold vs warm trace store on fig4_1                                *)
-
-(* The same fig4_1 sweep against a fresh persistent store: the cold run
-   captures all 8 workloads and writes them back; the warm run must hit
-   on every group, perform zero workload executions (checked via the
-   engine's capture counter) and produce bit-identical results. *)
-let time_store () =
-  let wall f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (Unix.gettimeofday () -. t0, r)
-  in
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "ilp-bench-store.%d" (Unix.getpid ()))
-  in
-  let store = Ilp_store.Store.open_root dir in
-  ignore (Ilp_store.Store.clear store);
-  let sweep () =
-    Ilp_core.Experiments.with_store (Some store) Ilp_core.Experiments.fig4_1
-  in
-  Ilp_core.Experiments.reset_capture_count ();
-  let cold_s, cold = wall sweep in
-  let cold_captures = Ilp_core.Experiments.capture_count () in
-  let cold_stats = Ilp_store.Store.stats store in
-  Ilp_store.Store.reset_stats store;
-  Ilp_core.Experiments.reset_capture_count ();
-  let warm_s, warm = wall sweep in
-  let warm_captures = Ilp_core.Experiments.capture_count () in
-  let warm_stats = Ilp_store.Store.stats store in
-  if warm <> cold then
-    failwith "BUG: warm fig4_1 differs from cold fig4_1";
-  if warm_captures <> 0 then
-    failwith
-      (Printf.sprintf
-         "BUG: warm fig4_1 executed %d workload(s); a warm sweep must \
-          perform zero workload execution"
-         warm_captures);
-  if warm_stats.Ilp_store.Store.misses <> 0
-     || warm_stats.Ilp_store.Store.rejects <> 0 then
-    failwith "BUG: warm fig4_1 was not 100% store hits";
-  let ratio = cold_s /. warm_s in
-  Printf.printf
-    "---- fig4_1 trace store comparison ----\n\
-     cold (%d captures, %d writes):  %.2f s\n\
-     warm (%d hits, 0 executions):   %.2f s\n\
-     speedup:                        %.2fx\n\n%!"
-    cold_captures cold_stats.Ilp_store.Store.writes cold_s
-    warm_stats.Ilp_store.Store.hits warm_s ratio;
-  let oc = open_out "BENCH_store.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"experiment\": \"fig4_1\",\n\
-    \  \"cold_seconds\": %.3f,\n\
-    \  \"warm_seconds\": %.3f,\n\
-    \  \"speedup\": %.2f,\n\
-    \  \"cold_captures\": %d,\n\
-    \  \"cold_writes\": %d,\n\
-    \  \"warm_hits\": %d,\n\
-    \  \"warm_captures\": %d,\n\
-    \  \"results_identical\": true\n\
-     }\n"
-    cold_s warm_s ratio cold_captures cold_stats.Ilp_store.Store.writes
-    warm_stats.Ilp_store.Store.hits warm_captures;
-  close_out oc;
-  ignore (Ilp_store.Store.clear store);
-  (try Unix.rmdir dir with Unix.Unix_error _ -> ());
-  Printf.printf "wrote BENCH_store.json\n\n%!"
-
-(* ------------------------------------------------------------------ *)
-(* 5. conservative vs alias-disambiguated scheduling                    *)
+(* 4. conservative vs alias-disambiguated scheduling                    *)
 
 (* The memdep study sweep: every (workload, superscalar degree) cell
    scheduled with and without static memory disambiguation, off one
@@ -300,7 +225,7 @@ let time_memdep () =
   Printf.printf "wrote BENCH_memdep.json\n\n%!"
 
 (* ------------------------------------------------------------------ *)
-(* 6. bound-aware unrolling: full unroll + peeling vs classic curves    *)
+(* 5. bound-aware unrolling: full unroll + peeling vs classic curves    *)
 
 (* The fig4_5_unroll grid: naive / careful / careful-peel parallelism
    per benchmark and factor.  The peel curve must never fall below the
@@ -365,7 +290,7 @@ let time_unroll () =
   Printf.printf "wrote BENCH_unroll.json\n\n%!"
 
 (* ------------------------------------------------------------------ *)
-(* 7. value-range disambiguation: what the range tier prunes            *)
+(* 6. value-range disambiguation: what the range tier prunes            *)
 
 (* Per workload (rolled or at its shipped unroll factor): DDG edges
    pruned by the symbolic tiers alone vs with the value-range product
@@ -425,7 +350,7 @@ let time_rangedep () =
   Printf.printf "wrote BENCH_rangedep.json\n\n%!"
 
 (* ------------------------------------------------------------------ *)
-(* 8. Bechamel suite                                                    *)
+(* 7. Bechamel suite                                                    *)
 
 let experiment_tests =
   List.map
@@ -542,10 +467,6 @@ let () =
     time_parallel ();
     exit 0
   end;
-  if store_only then begin
-    time_store ();
-    exit 0
-  end;
   if memdep_only then begin
     time_memdep ();
     exit 0
@@ -570,11 +491,6 @@ let () =
      Parallel sweep engine: jobs=1 vs jobs=4 wall clock\n\
      ================================================================\n\n";
   time_parallel ();
-  print_string
-    "================================================================\n\
-     Persistent trace store: cold vs warm wall clock\n\
-     ================================================================\n\n";
-  time_store ();
   print_string
     "================================================================\n\
      Memory disambiguation: conservative vs alias-aware scheduling\n\

@@ -103,42 +103,6 @@ let jobs_arg =
     & opt int (Domain.recommended_domain_count ())
     & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
-(* Route sweeps through a [jobs]-domain pool for the duration of one
-   subcommand. *)
-let with_jobs jobs f = Ilp_core.Experiments.with_jobs jobs f
-
-let store_arg =
-  let doc =
-    "Persistent trace-store directory.  Sweep captures are looked up here \
-     before executing a workload and written back after, so a warm run \
-     performs zero workload execution; rejected files (corrupt, \
-     truncated, version-skewed) fall back to a fresh capture with a \
-     warning on stderr."
-  in
-  let env =
-    Cmd.Env.info "ILP_TRACE_STORE" ~doc:"Default trace-store directory."
-  in
-  Arg.(value & opt (some string) None & info [ "store" ] ~env ~docv:"DIR" ~doc)
-
-(* Install a trace store for the duration of one subcommand; a summary
-   of its traffic goes to stderr so stdout results stay byte-identical
-   between cold and warm runs. *)
-let with_store dir f =
-  match dir with
-  | None -> f ()
-  | Some dir ->
-      let s = Ilp_store.Store.open_root dir in
-      Fun.protect
-        ~finally:(fun () ->
-          let { Ilp_store.Store.hits; misses; rejects; writes } =
-            Ilp_store.Store.stats s
-          in
-          Fmt.epr
-            "ilp: trace store %s: %d hit(s), %d miss(es), %d reject(s), \
-             %d write(s)@."
-            dir hits misses rejects writes)
-        (fun () -> Ilp_core.Experiments.with_store (Some s) f)
-
 (* Usage errors exit with status 2, distinct from check/compile failures
    (1). *)
 let usage_error fmt =
@@ -153,11 +117,20 @@ let validate_jobs jobs =
     usage_error
       "--jobs must be >= 0 (0 forces the serial engine), got %d" jobs
 
-let validate_segment = function
-  | Some n when n <= 0 ->
-      usage_error
-        "--segment must be a positive dynamic-instruction count, got %d" n
-  | _ -> ()
+(* A pool the host cannot start (more domains than the runtime allows)
+   is a usage error. *)
+let pool_error jobs msg = usage_error "--jobs %d: %s" jobs msg
+
+(* Route sweeps through a [jobs]-domain pool for the duration of one
+   subcommand.  [Invalid_argument] before [f] starts can only come from
+   starting the pool. *)
+let with_jobs jobs f =
+  let started = ref false in
+  try
+    Ilp_core.Experiments.with_jobs jobs (fun () ->
+        started := true;
+        f ())
+  with Invalid_argument msg when not !started -> pool_error jobs msg
 
 let check_arg =
   let doc =
@@ -245,15 +218,6 @@ let run_cmd =
     in
     Arg.(value & flag & info [ "replay" ] ~doc)
   in
-  let segment_arg =
-    let doc =
-      "With $(b,--replay): cut the replay into segments of $(docv) dynamic \
-       instructions, checkpointing and resuming the timing model at each \
-       boundary.  Results are bit-identical to an unsegmented replay for \
-       any segment size."
-    in
-    Arg.(value & opt (some int) None & info [ "segment" ] ~docv:"N" ~doc)
-  in
   let verbose_arg =
     let doc =
       "With $(b,--replay): report the captured trace's footprint — \
@@ -272,67 +236,41 @@ let run_cmd =
     in
     Arg.(value & flag & info [ "memdep" ] ~doc)
   in
-  let action bench machine level factor careful peel replay segment check
-      memdep jobs storedir verbose =
-    validate_jobs jobs;
-    validate_segment segment;
+  let action bench machine level factor careful peel replay check memdep
+      verbose =
     let w = find_bench bench in
     let unroll = unroll_spec factor careful peel in
     let source = source_for w careful in
     let trace_stats = ref None in
     let r =
       try
-        with_store storedir (fun () ->
-            with_jobs jobs (fun () ->
-                if replay then (
-                  let pre =
-                    if check then
-                      Ilp_core.Diffcheck.check_unscheduled ?unroll ~level
-                        machine source
-                    else
-                      Ilp_core.Ilp.compile_unscheduled ?unroll ~level machine
-                        source
-                  in
-                  let how, trace =
-                    Ilp_core.Experiments.trace_for ~check
-                      ~workload:w.Ilp_workloads.Workload.name ~unroll ~level
-                      machine pre
-                  in
-                  (match how with
-                  | `Off -> ()
-                  | `Hit -> Fmt.epr "ilp: trace store: hit@."
-                  | `Miss ->
-                      Fmt.epr "ilp: trace store: miss, captured and saved@."
-                  | `Rejected ->
-                      Fmt.epr
-                        "ilp: trace store: stored file rejected, captured \
-                         fresh@.");
-                  trace_stats := Some (Ilp_sim.Trace_buffer.stats trace);
-                  let binary =
-                    Ilp_core.Ilp.schedule ~check ~memdep ~level machine pre
-                  in
-                  match segment with
-                  | Some segment ->
-                      Ilp_sim.Metrics.measure_replay_segmented ~segment
-                        machine trace binary
-                  | None -> Ilp_sim.Metrics.measure_replay machine trace binary)
-                else if check then (
-                  let binary =
-                    Ilp_core.Diffcheck.check_compile ?unroll ~memdep ~level
-                      machine source
-                  in
-                  Ilp_sim.Metrics.measure machine binary)
-                else Ilp_core.Ilp.measure ?unroll ~memdep ~level machine source))
+        if replay then (
+          let pre =
+            if check then
+              Ilp_core.Diffcheck.check_unscheduled ?unroll ~level machine
+                source
+            else
+              Ilp_core.Ilp.compile_unscheduled ?unroll ~level machine source
+          in
+          let trace = Ilp_sim.Trace_buffer.capture pre in
+          trace_stats := Some (Ilp_sim.Trace_buffer.stats trace);
+          let binary =
+            Ilp_core.Ilp.schedule ~check ~memdep ~level machine pre
+          in
+          Ilp_sim.Metrics.measure_replay machine trace binary)
+        else if check then (
+          let binary =
+            Ilp_core.Diffcheck.check_compile ?unroll ~memdep ~level machine
+              source
+          in
+          Ilp_sim.Metrics.measure machine binary)
+        else Ilp_core.Ilp.measure ?unroll ~memdep ~level machine source
       with e -> report_check_failure e
     in
     Fmt.pr "benchmark      %s@." bench;
     Fmt.pr "machine        %s@." machine.Ilp_machine.Config.name;
     Fmt.pr "optimization   %s@." (Ilp_core.Ilp.opt_level_name level);
-    Fmt.pr "engine         %s@."
-      (match (replay, segment) with
-      | true, Some n -> Printf.sprintf "trace replay (segments of %d)" n
-      | true, None -> "trace replay"
-      | false, _ -> "direct");
+    Fmt.pr "engine         %s@." (if replay then "trace replay" else "direct");
     if memdep then Fmt.pr "memdep         alias-aware scheduling@.";
     if check then Fmt.pr "checked        every pass (clean)@.";
     (if verbose then
@@ -350,8 +288,8 @@ let run_cmd =
   let term =
     Term.(
       const action $ bench_arg $ machine_arg $ level_arg $ unroll_arg
-      $ careful_arg $ peel_arg $ replay_arg $ segment_arg $ check_arg
-      $ memdep_arg $ jobs_arg $ store_arg $ verbose_arg)
+      $ careful_arg $ peel_arg $ replay_arg $ check_arg $ memdep_arg
+      $ verbose_arg)
   in
   Cmd.v (Cmd.info "run" ~doc:"Compile and simulate one benchmark") term
 
@@ -385,31 +323,29 @@ let experiment_cmd =
   let name_arg =
     Arg.(value & pos 0 (some string) None & info [] ~docv:"EXPERIMENT")
   in
-  let action all name check jobs storedir =
+  let action all name check jobs =
     validate_jobs jobs;
     try
       Ilp_core.Experiments.with_checks check (fun () ->
-          with_store storedir (fun () ->
-              with_jobs jobs (fun () ->
-                  if all then print_string (Ilp_core.Experiments.run_all ())
-                  else
-                    match name with
+          with_jobs jobs (fun () ->
+              if all then print_string (Ilp_core.Experiments.run_all ())
+              else
+                match name with
+                | None ->
+                    Fmt.epr "specify an experiment or --all (see `ilp list')@.";
+                    exit 1
+                | Some name -> (
+                    match Ilp_core.Experiments.find name with
+                    | Some render -> print_string (render ())
                     | None ->
-                        Fmt.epr
-                          "specify an experiment or --all (see `ilp list')@.";
-                        exit 1
-                    | Some name -> (
-                        match Ilp_core.Experiments.find name with
-                        | Some render -> print_string (render ())
-                        | None ->
-                            Fmt.epr "unknown experiment %s@." name;
-                            exit 1))))
+                        Fmt.epr "unknown experiment %s@." name;
+                        exit 1)))
     with e -> report_check_failure e
   in
   Cmd.v
     (Cmd.info "experiment"
        ~doc:"Regenerate a table or figure from the paper's evaluation")
-    Term.(const action $ all_flag $ name_arg $ check_arg $ jobs_arg $ store_arg)
+    Term.(const action $ all_flag $ name_arg $ check_arg $ jobs_arg)
 
 (* --- fuzz --------------------------------------------------------------- *)
 
@@ -482,6 +418,9 @@ let fuzz_cmd =
            else if range_heavy then "range-heavy "
            else "")
           seed
+    (* every failing iteration ends in [Failed]; only starting the pool
+       raises [Invalid_argument] *)
+    | exception Invalid_argument msg -> pool_error jobs msg
     | exception Ilp_core.Fuzz.Failed f ->
         Fmt.epr "fuzz: iteration %d (seed %d) FAILED on %s:@.  %s@." f.index
           f.seed f.config_name f.error;
@@ -1178,18 +1117,7 @@ let disasm_cmd =
 
 (* --- trace -------------------------------------------------------------- *)
 
-(* [ilp trace] is a group: the default action shows the first N executed
-   instructions (the historical behaviour), and the subcommands manage
-   the persistent trace store. *)
-
-let require_store dir =
-  match dir with
-  | Some dir -> Ilp_store.Store.open_root dir
-  | None ->
-      usage_error
-        "no trace store; pass --store DIR or set ILP_TRACE_STORE"
-
-let trace_show_term =
+let trace_cmd =
   let limit_arg =
     Arg.(
       value & opt int 80
@@ -1207,114 +1135,12 @@ let trace_show_term =
       outcome.Ilp_sim.Exec.dyn_instrs Ilp_sim.Value.pp
       outcome.Ilp_sim.Exec.sink
   in
-  Term.(
-    const action $ bench_arg $ machine_arg $ level_arg $ unroll_arg
-    $ careful_arg $ peel_arg $ limit_arg)
-
-let trace_list_cmd =
-  let action storedir =
-    let s = require_store storedir in
-    let entries = Ilp_store.Store.list s in
-    if entries = [] then
-      Fmt.pr "trace store %s is empty@." (Ilp_store.Store.root s)
-    else begin
-      let total = ref 0 in
-      List.iter
-        (fun (e : Ilp_store.Store.entry) ->
-          total := !total + e.bytes;
-          match e.info with
-          | Ok (key, pk) ->
-              let st = Ilp_sim.Trace_buffer.packed_stats pk in
-              Fmt.pr "%s  %9d bytes  %-32s %d dyn, %d visit(s), %d address(es)@."
-                (Filename.basename e.file)
-                e.bytes
-                (Ilp_store.Codec.describe_key key)
-                st.Ilp_sim.Trace_buffer.dyn st.Ilp_sim.Trace_buffer.visits
-                st.Ilp_sim.Trace_buffer.addresses
-          | Error msg ->
-              Fmt.pr "%s  %9d bytes  BAD: %s@." (Filename.basename e.file)
-                e.bytes msg)
-        entries;
-      Fmt.pr "%d file(s), %d bytes in %s@." (List.length entries) !total
-        (Ilp_store.Store.root s)
-    end
+  let term =
+    Term.(
+      const action $ bench_arg $ machine_arg $ level_arg $ unroll_arg
+      $ careful_arg $ peel_arg $ limit_arg)
   in
-  Cmd.v
-    (Cmd.info "list"
-       ~doc:"List stored traces, newest first, with their footprints")
-    Term.(const action $ store_arg)
-
-let trace_verify_cmd =
-  let action storedir =
-    let s = require_store storedir in
-    let results = Ilp_store.Store.verify s in
-    let bad = ref 0 in
-    List.iter
-      (fun (file, r) ->
-        match r with
-        | Ok (key, pk) ->
-            let st = Ilp_sim.Trace_buffer.packed_stats pk in
-            Fmt.pr "%s  ok   %s  %d visit(s), %d address(es), %d byte(s)@." file
-              (Ilp_store.Codec.describe_key key)
-              st.Ilp_sim.Trace_buffer.visits st.Ilp_sim.Trace_buffer.addresses
-              st.Ilp_sim.Trace_buffer.bytes
-        | Error msg ->
-            incr bad;
-            Fmt.pr "%s  BAD  %s@." file msg)
-      results;
-    if !bad > 0 then begin
-      Fmt.epr "ilp trace verify: %d bad file(s) of %d@." !bad
-        (List.length results);
-      exit 1
-    end
-    else Fmt.pr "%d file(s) verified@." (List.length results)
-  in
-  Cmd.v
-    (Cmd.info "verify"
-       ~doc:
-         "Decode every stored trace (magic, version, CRC, structure) and \
-          check each file name matches its content address")
-    Term.(const action $ store_arg)
-
-let trace_gc_cmd =
-  let max_bytes_arg =
-    let doc = "Evict least-recently-used traces until at most $(docv)." in
-    Arg.(
-      required
-      & opt (some int) None
-      & info [ "max-bytes" ] ~docv:"BYTES" ~doc)
-  in
-  let action storedir max_bytes =
-    if max_bytes < 0 then usage_error "--max-bytes must be >= 0";
-    let s = require_store storedir in
-    let removed = Ilp_store.Store.gc s ~max_bytes in
-    List.iter
-      (fun (file, bytes) -> Fmt.pr "evicted %s (%d bytes)@." file bytes)
-      removed;
-    Fmt.pr "%d file(s) evicted@." (List.length removed)
-  in
-  Cmd.v
-    (Cmd.info "gc"
-       ~doc:"Shrink the store to a byte budget, evicting LRU first")
-    Term.(const action $ store_arg $ max_bytes_arg)
-
-let trace_clear_cmd =
-  let action storedir =
-    let s = require_store storedir in
-    let n = Ilp_store.Store.clear s in
-    Fmt.pr "removed %d file(s) from %s@." n (Ilp_store.Store.root s)
-  in
-  Cmd.v
-    (Cmd.info "clear" ~doc:"Remove every stored trace (and stray temp file)")
-    Term.(const action $ store_arg)
-
-let trace_cmd =
-  Cmd.group ~default:trace_show_term
-    (Cmd.info "trace"
-       ~doc:
-         "Show the first N executed instructions, or manage the \
-          persistent trace store (list, verify, gc, clear)")
-    [ trace_list_cmd; trace_verify_cmd; trace_gc_cmd; trace_clear_cmd ]
+  Cmd.v (Cmd.info "trace" ~doc:"Show the first N executed instructions") term
 
 (* --- profile ------------------------------------------------------------ *)
 

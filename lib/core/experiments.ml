@@ -20,8 +20,6 @@ module Pool = Ilp_par.Pool
    suite). *)
 let engine : Pool.t option ref = ref None
 
-let engine_jobs () = match !engine with None -> 1 | Some p -> Pool.jobs p
-
 (* Run [f] with sweeps fanned out over a fresh [jobs]-domain pool
    ([jobs = 0] forces the serial engine), restoring the previous engine
    afterwards. *)
@@ -56,112 +54,6 @@ let with_checks enabled f =
     (fun () ->
       checks := enabled;
       f ())
-
-(* ------------------------------------------------------------------ *)
-(* the persistent trace store                                          *)
-
-module Store = Ilp_store.Store
-
-(* When set, phase 1 of every sweep looks its capture key up in the
-   store before executing the workload and writes fresh captures back,
-   so a warm sweep performs zero workload execution.  Safety over
-   availability: any rejected file (corrupt, truncated, version-skewed,
-   key-colliding, or failing re-validation against the program) is
-   reported through
-   [store_warn] and the engine falls back to a fresh capture. *)
-let store : Store.t option ref = ref None
-
-let with_store s f =
-  let previous = !store in
-  Fun.protect
-    ~finally:(fun () -> store := previous)
-    (fun () ->
-      store := s;
-      f ())
-
-(* Store diagnostics go through this hook — by default to stderr, so
-   stdout results stay byte-identical between cold and warm sweeps.
-   Tests override it to collect the warnings they provoke. *)
-let store_warn : (string -> unit) ref =
-  ref (fun msg -> Printf.eprintf "ilp: trace store: %s\n%!" msg)
-
-(* Workload executions the sweep engine actually performed (functional
-   interpreter runs for capture).  The warm-sweep contract — and the
-   bench harness — assert this stays zero when every group hits. *)
-let captures_performed = Atomic.make 0
-let capture_count () = Atomic.get captures_performed
-let reset_capture_count () = Atomic.set captures_performed 0
-
-let capture_fresh pre =
-  Atomic.incr captures_performed;
-  Ilp_sim.Trace_buffer.capture pre
-
-let store_key ~workload ~unroll ~level config pre =
-  let unroll_mode, unroll_factor =
-    match unroll with
-    | None -> (`None, 1)
-    | Some { Ilp.mode = Ilp_lang.Unroll.Naive; factor; bounds = false } ->
-        (`Naive, factor)
-    | Some { Ilp.mode = Ilp_lang.Unroll.Careful; factor; bounds = false } ->
-        (`Careful, factor)
-    | Some { Ilp.mode = Ilp_lang.Unroll.Naive; factor; bounds = true } ->
-        (`Naive_bounded, factor)
-    | Some { Ilp.mode = Ilp_lang.Unroll.Careful; factor; bounds = true } ->
-        (`Careful_bounded, factor)
-  in
-  Store.key_for ~workload ~unroll_mode ~unroll_factor
-    ~opt_level:(Ilp.level_rank level) ~config
-    ~fingerprint:(Ilp_store.Fingerprint.program pre)
-
-(* Resolve the trace for one capture group: look the key up in the
-   store (when one is installed), fall back to a fresh capture on miss
-   or rejection, and write fresh captures back best-effort.  Under
-   [check] a hit is re-captured anyway and the stored trace must be
-   {!Ilp_sim.Trace_buffer.equal} to the fresh one — the store's
-   differential oracle.  Returns the trace and how it was obtained. *)
-let trace_for ?(check = false) ~workload ~unroll ~level config pre =
-  match !store with
-  | None -> (`Off, capture_fresh pre)
-  | Some s -> (
-      let key = store_key ~workload ~unroll ~level config pre in
-      let save_back trace =
-        try Store.save s key (Ilp_sim.Trace_buffer.pack trace)
-        with Sys_error msg ->
-          !store_warn
-            (Printf.sprintf "could not write %s: %s"
-               (Ilp_store.Codec.describe_key key) msg)
-      in
-      let capture_and_save () =
-        let trace = capture_fresh pre in
-        save_back trace;
-        trace
-      in
-      match Store.lookup s key with
-      | Ok (Some packed) -> (
-          match Ilp_sim.Trace_buffer.unpack packed pre with
-          | trace ->
-              if check then begin
-                let fresh = capture_fresh pre in
-                if not (Ilp_sim.Trace_buffer.equal trace fresh) then
-                  raise
-                    (Ilp_sim.Trace_buffer.Divergence
-                       (Printf.sprintf
-                          "stored trace for %s differs from a fresh capture"
-                          (Ilp_store.Codec.describe_key key)))
-              end;
-              (`Hit, trace)
-          | exception Ilp_sim.Trace_buffer.Divergence msg ->
-              !store_warn
-                (Printf.sprintf
-                   "rejecting stored trace for %s (does not fit the program: \
-                    %s); falling back to capture"
-                   (Ilp_store.Codec.describe_key key) msg);
-              (`Rejected, capture_and_save ()))
-      | Ok None -> (`Miss, capture_and_save ())
-      | Error msg ->
-          !store_warn
-            (Printf.sprintf "%s; falling back to capture" msg);
-          (`Rejected, capture_and_save ()))
 
 (* ------------------------------------------------------------------ *)
 (* shared measurement helpers                                          *)
@@ -291,11 +183,7 @@ let run_sweep (requests : request array) : Metrics.run array =
             Ilp.compile_unscheduled ?unroll:r.rq_unroll ~level:r.rq_level
               r.rq_config r.rq_source
         in
-        let _how, trace =
-          trace_for ~check ~workload:r.rq_workload.W.name ~unroll:r.rq_unroll
-            ~level:r.rq_level r.rq_config pre
-        in
-        (pre, trace))
+        (pre, Ilp_sim.Trace_buffer.capture pre))
       group_firsts
   in
   let runs =

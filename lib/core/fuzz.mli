@@ -49,4 +49,5 @@ val run :
     index arithmetic, split array windows, near-extent loop bounds,
     widening-stressing nested accumulators) — the shapes only the
     value-range product can disambiguate, so every edge it prunes is
-    re-justified and store-stream-compared like the rest. *)
+    re-justified and store-stream-compared like the rest.  Raises
+    [Invalid_argument] if a pool of [jobs] domains cannot start. *)

@@ -43,12 +43,6 @@ let default_home_regs = 26
 
 let latency t c = t.latencies.(Iclass.to_index c)
 
-(* Canonical register-split identifier.  The unscheduled compile (and so
-   a captured trace) reads a configuration only through this split, so
-   it is the machine-side component of the trace store's content
-   address: configurations with equal [split_key] share captures. *)
-let split_key t = Printf.sprintf "t%d.h%d" t.temp_regs t.home_regs
-
 (* Build a latency table from an association list; classes not mentioned
    get [default]. *)
 let latency_table ?(default = 1) assoc =

@@ -48,13 +48,6 @@ val default_home_regs : int
 
 val latency : t -> Iclass.t -> int
 
-val split_key : t -> string
-(** Canonical register-split identifier ["tN.hM"].  The unscheduled
-    compile — and therefore a captured trace — reads a configuration
-    only through its register split, so this is the machine-side
-    component of the trace store's content address: configurations
-    with equal [split_key] share captures. *)
-
 val latency_table : ?default:int -> (Iclass.t * int) list -> int array
 (** Build a latency table; classes not mentioned get [default]
     (1 cycle). *)

@@ -1,217 +1,72 @@
-(* Work-stealing domain pool with deterministic indexed batches.
+(* Domain pool with deterministic indexed batches.
 
-   Each participant (the caller is participant 0, plus [size - 1] worker
-   domains) owns a deque of tasks: a growable circular buffer in
-   Chase-Lev style, except that every operation takes the deque's own
-   lock instead of using the lock-free CAS protocol — steals are rare
-   and tasks are coarse (a whole capture, or a trace segment of ~10^5
-   dynamic instructions), so contention on a per-deque mutex is noise,
-   and the locked variant is obviously correct under the OCaml memory
-   model.
-
-   The owner pushes and pops at the young end (LIFO, so a chain's
-   freshly spawned continuation stays hot in its own deque); idle
-   participants steal from the old end (FIFO, oldest-first), which takes
-   the work most likely to be large and least likely to be in the
-   owner's cache.  A batch seeds the deques round-robin; a running task
-   may spawn a continuation into its participant's own deque
-   ([map_chunked]), which is how one long trace replay is split into
-   stealable segments without ever running two segments of the same item
-   concurrently.
+   A batch is [n] independent items and one atomic claim counter.
+   Every participant (the caller is participant 0, plus [size - 1]
+   worker domains) claims the next unclaimed index with a single
+   [fetch_and_add] and runs that item, until the counter passes [n].
+   Items are coarse (a whole capture, or a whole trace replay), so one
+   shared counter is all the balancing a batch needs: a participant
+   that finishes early simply claims more.
 
    Determinism is by construction, not by scheduling: every result is
-   written into a caller-owned slot at its item's index, continuations
-   carry their item's index, and the batch only returns when every task
-   (including spawned continuations) has finished — so [map]/[map_chunked]
-   are exactly [Array.map]-equivalent whatever the interleaving.
+   written into a caller-owned slot at its item's index, and the batch
+   only returns when every item has finished, so [map] is exactly
+   [Array.map]-equivalent whatever the interleaving.
 
-   Idle participants block on a condition variable (no busy-waiting —
-   this must also behave on a single-core host).  A sequence number
-   bumped whenever new work becomes visible closes the scan-then-sleep
-   race: a participant records [seq] before scanning every deque, and
-   goes to sleep only if [seq] is unchanged, so it cannot sleep through
-   work published after its scan began. *)
+   Idle workers block on a condition variable (no busy-waiting — this
+   must also behave on a single-core host).  A worker only sleeps after
+   seeing, under the pool's mutex, that the published batch has no
+   unclaimed item left, and a new batch is published and broadcast
+   under the same mutex, so no worker can sleep through one. *)
 
-type task = int -> unit
-(* a task receives the index of the participant running it, so it can
-   spawn continuations into that participant's own deque *)
-
-module Deque = struct
-  type t = {
-    lock : Mutex.t;
-    mutable buf : task option array;  (* circular, capacity a power of 2 *)
-    mutable head : int;  (* index of the oldest task, in [0, capacity) *)
-    mutable len : int;
-  }
-
-  let create () =
-    { lock = Mutex.create (); buf = Array.make 8 None; head = 0; len = 0 }
-
-  (* double the buffer, rebasing the live window to index 0 *)
-  let grow d =
-    let cap = Array.length d.buf in
-    let nbuf = Array.make (2 * cap) None in
-    for k = 0 to d.len - 1 do
-      nbuf.(k) <- d.buf.((d.head + k) land (cap - 1))
-    done;
-    d.buf <- nbuf;
-    d.head <- 0
-
-  (* young end: only the owner pushes *)
-  let push d task =
-    Mutex.lock d.lock;
-    if d.len = Array.length d.buf then grow d;
-    d.buf.((d.head + d.len) land (Array.length d.buf - 1)) <- Some task;
-    d.len <- d.len + 1;
-    Mutex.unlock d.lock
-
-  (* young end: the owner's own claim *)
-  let pop d =
-    Mutex.lock d.lock;
-    let r =
-      if d.len = 0 then None
-      else begin
-        d.len <- d.len - 1;
-        let k = (d.head + d.len) land (Array.length d.buf - 1) in
-        let task = d.buf.(k) in
-        d.buf.(k) <- None;
-        task
-      end
-    in
-    Mutex.unlock d.lock;
-    r
-
-  (* old end: what idle participants take *)
-  let steal d =
-    Mutex.lock d.lock;
-    let r =
-      if d.len = 0 then None
-      else begin
-        let k = d.head in
-        let task = d.buf.(k) in
-        d.buf.(k) <- None;
-        d.head <- (d.head + 1) land (Array.length d.buf - 1);
-        d.len <- d.len - 1;
-        task
-      end
-    in
-    Mutex.unlock d.lock;
-    r
-end
+type batch = {
+  n : int;
+  run : int -> unit;  (* item [i]; exception-free, see [map] *)
+  next : int Atomic.t;  (* the next unclaimed index *)
+  unfinished : int Atomic.t;  (* items not yet finished *)
+}
 
 type t = {
   size : int;  (* parallel width, including the calling domain *)
-  mutex : Mutex.t;  (* guards [active], [seq], [stop] and the conditions *)
-  wake : Condition.t;  (* workers: a batch started, work appeared, or stop *)
-  all_done : Condition.t;  (* caller: the current batch has drained *)
-  deques : Deque.t array;  (* deques.(p) is owned by participant p *)
-  pending : int Atomic.t;  (* unfinished tasks of the current batch *)
-  idle : int Atomic.t;  (* participants blocked on [wake] *)
-  mutable active : bool;  (* a batch is in progress *)
-  mutable seq : int;  (* bumped whenever work may have appeared *)
+  mutex : Mutex.t;  (* guards [batch], [stop] and both conditions *)
+  wake : Condition.t;  (* workers: a batch started, or stop *)
+  all_done : Condition.t;  (* caller: the current batch has finished *)
+  mutable batch : batch option;  (* the batch in progress *)
   mutable stop : bool;
   mutable workers : unit Domain.t list;
 }
 
 let jobs t = t.size
 
-(* Mark one task finished; the last one closes the batch and wakes both
-   the idle workers and the waiting caller. *)
-let finish_one t =
-  if Atomic.fetch_and_add t.pending (-1) = 1 then begin
-    Mutex.lock t.mutex;
-    t.active <- false;
-    Condition.broadcast t.wake;
-    Condition.broadcast t.all_done;
-    Mutex.unlock t.mutex
-  end
+(* Claim and run items of [b] until none is left.  Whoever finishes the
+   last item closes the batch and wakes the caller. *)
+let work t b =
+  let rec claim () =
+    let i = Atomic.fetch_and_add b.next 1 in
+    if i < b.n then begin
+      b.run i;
+      if Atomic.fetch_and_add b.unfinished (-1) = 1 then begin
+        Mutex.lock t.mutex;
+        t.batch <- None;
+        Condition.broadcast t.all_done;
+        Mutex.unlock t.mutex
+      end;
+      claim ()
+    end
+  in
+  claim ()
 
-(* Spawn a continuation from inside a running task: it becomes one more
-   pending task in participant [p]'s own deque.  The increment happens
-   before the spawning task is marked finished, so [pending] can never
-   dip to zero while a chain still has work.  Sleepers are only poked
-   when someone is actually idle. *)
-let spawn t p task =
-  Atomic.incr t.pending;
-  Deque.push t.deques.(p) task;
-  if Atomic.get t.idle > 0 then begin
-    Mutex.lock t.mutex;
-    t.seq <- t.seq + 1;
-    Condition.broadcast t.wake;
-    Mutex.unlock t.mutex
-  end
-
-(* Run tasks as participant [p] until neither the own deque nor a steal
-   yields anything.  [body] closures are exception-free by construction:
-   [map]/[map_chunked] wrap the user function and record failures in
-   their result slots. *)
-let work t p =
-  let continue = ref true in
-  while !continue do
-    match Deque.pop t.deques.(p) with
-    | Some task ->
-        task p;
-        finish_one t
-    | None ->
-        (* steal oldest-first, scanning the other participants starting
-           just after [p] so thieves spread out *)
-        let stolen = ref None in
-        let i = ref 1 in
-        while !stolen = None && !i < t.size do
-          stolen := Deque.steal t.deques.((p + !i) mod t.size);
-          incr i
-        done;
-        (match !stolen with
-        | Some task ->
-            task p;
-            finish_one t
-        | None -> continue := false)
-  done
-
-let worker_loop t p =
+let worker_loop t =
   Mutex.lock t.mutex;
   while not t.stop do
-    if t.active then begin
-      let seen = t.seq in
-      Mutex.unlock t.mutex;
-      work t p;
-      Mutex.lock t.mutex;
-      (* sleep only if nothing new was published since the scan began;
-         otherwise rescan immediately *)
-      if t.seq = seen && t.active && not t.stop then begin
-        Atomic.incr t.idle;
-        Condition.wait t.wake t.mutex;
-        Atomic.decr t.idle
-      end
-    end
-    else begin
-      Atomic.incr t.idle;
-      Condition.wait t.wake t.mutex;
-      Atomic.decr t.idle
-    end
+    match t.batch with
+    | Some b when Atomic.get b.next < b.n ->
+        Mutex.unlock t.mutex;
+        work t b;
+        Mutex.lock t.mutex
+    | Some _ | None -> Condition.wait t.wake t.mutex
   done;
   Mutex.unlock t.mutex
-
-let create ~jobs =
-  let size = max 1 jobs in
-  let t =
-    { size;
-      mutex = Mutex.create ();
-      wake = Condition.create ();
-      all_done = Condition.create ();
-      deques = Array.init size (fun _ -> Deque.create ());
-      pending = Atomic.make 0;
-      idle = Atomic.make 0;
-      active = false;
-      seq = 0;
-      stop = false;
-      workers = [];
-    }
-  in
-  t.workers <-
-    List.init (size - 1) (fun k ->
-        Domain.spawn (fun () -> worker_loop t (k + 1)));
-  t
 
 let shutdown t =
   Mutex.lock t.mutex;
@@ -222,85 +77,85 @@ let shutdown t =
   Mutex.unlock t.mutex;
   List.iter Domain.join workers
 
+(* The runtime caps the number of live domains.  If it refuses one, the
+   workers already started are stopped and joined before [create]
+   fails, so the slots they held are free for the next pool. *)
+let create ~jobs =
+  let size = max 1 jobs in
+  let t =
+    { size;
+      mutex = Mutex.create ();
+      wake = Condition.create ();
+      all_done = Condition.create ();
+      batch = None;
+      stop = false;
+      workers = [];
+    }
+  in
+  (try
+     for _ = 2 to size do
+       t.workers <- Domain.spawn (fun () -> worker_loop t) :: t.workers
+     done
+   with Failure msg ->
+     let started = List.length t.workers + 1 in
+     shutdown t;
+     invalid_arg
+       (Printf.sprintf "Pool.create: only %d of %d jobs could start (%s)"
+          started size msg));
+  t
+
 let with_pool ~jobs f =
   let t = create ~jobs in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
-(* Run [tasks] to completion: seed the deques round-robin, wake the
+(* Run items [0 .. n - 1] to completion: publish the batch, wake the
    workers, join in as participant 0, and wait for the stragglers.
-   Misuse that previously hung is detected here: a batch submitted while
-   another is in flight (a nested [map]/[map_reduce]/[map_chunked] on
-   the same pool, or concurrent use from two domains) and use after
-   [shutdown] both raise [Invalid_argument]. *)
-let run_batch t (tasks : task array) =
-  let n = Array.length tasks in
+   Misuse that would hang is detected here: a batch submitted while
+   another is in flight (a nested [map] on the same pool, or concurrent
+   use from two domains) and use after [shutdown] both raise
+   [Invalid_argument]. *)
+let run_batch t n run =
   if n > 0 then begin
     Mutex.lock t.mutex;
     if t.stop then begin
       Mutex.unlock t.mutex;
       invalid_arg "Pool: used after shutdown"
     end;
-    if t.active then begin
+    if Option.is_some t.batch then begin
       Mutex.unlock t.mutex;
       invalid_arg "Pool: nested batch on the same pool"
     end;
-    Atomic.set t.pending n;
-    Array.iteri (fun i task -> Deque.push t.deques.(i mod t.size) task) tasks;
-    t.active <- true;
-    t.seq <- t.seq + 1;
+    let b =
+      { n; run; next = Atomic.make 0; unfinished = Atomic.make n }
+    in
+    t.batch <- Some b;
     Condition.broadcast t.wake;
     Mutex.unlock t.mutex;
-    work t 0;
+    work t b;
     Mutex.lock t.mutex;
-    while t.active do
+    while Option.is_some t.batch do
       Condition.wait t.all_done t.mutex
     done;
     Mutex.unlock t.mutex
   end
 
-type ('s, 'b) progress = More of 's | Done of 'b
-
-(* Chunkable deterministic map: item [i] starts with [start xs.(i)] and
-   keeps stepping while the task yields [More]; each [More] becomes a
-   fresh task in the running participant's own deque, so between two
-   chunks of one item the participant (or a thief) can interleave other
-   items' work.  Results land at item indices; if items fail, the
-   exception of the lowest-index item wins, however stealing reorders
-   completion. *)
-let map_chunked t ~start ~step (xs : 'a array) : 'b array =
-  let n = Array.length xs in
-  let out = Array.make n None in
-  let failure : (int * exn * Printexc.raw_backtrace) option ref = ref None in
-  let fail_mutex = Mutex.create () in
-  let record i e bt =
-    Mutex.lock fail_mutex;
-    (match !failure with
-    | Some (j, _, _) when j < i -> ()
-    | Some _ | None -> failure := Some (i, e, bt));
-    Mutex.unlock fail_mutex
-  in
-  let rec advance i progress p =
-    match progress with
-    | Done y -> out.(i) <- Some y
-    | More s -> spawn t p (fun p' -> run_step i s p')
-  and run_step i s p =
-    match step s with
-    | progress -> advance i progress p
-    | exception e -> record i e (Printexc.get_raw_backtrace ())
-  in
-  run_batch t
-    (Array.init n (fun i p ->
-         match start xs.(i) with
-         | progress -> advance i progress p
-         | exception e -> record i e (Printexc.get_raw_backtrace ())));
-  match !failure with
-  | Some (_, e, bt) -> Printexc.raise_with_backtrace e bt
-  | None ->
-      Array.map (function Some y -> y | None -> assert false) out
-
+(* Every item runs, failing or not; afterwards the results are read in
+   index order, so the exception of the lowest-index failing item is
+   the one re-raised, whatever order the items finished in. *)
 let map t f (xs : 'a array) : 'b array =
-  (* [start] always answers [Done], so [step] is unreachable *)
-  map_chunked t ~start:(fun x -> Done (f x)) ~step:(fun s -> More s) xs
+  let out = Array.make (Array.length xs) None in
+  run_batch t (Array.length xs) (fun i ->
+      out.(i) <-
+        Some
+          (match f xs.(i) with
+          | y -> Ok y
+          | exception e -> Error (e, Printexc.get_raw_backtrace ())));
+  Array.map
+    (function
+      | Some (Ok y) -> y
+      | Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt
+      | None -> assert false)
+    out
 
 let map_list t f xs = Array.to_list (map t f (Array.of_list xs))
 

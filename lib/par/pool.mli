@@ -1,15 +1,11 @@
-(** A work-stealing domain pool with deterministic data-parallel
-    [map]/[map_chunked]/[map_reduce] over indexed work items.
+(** A domain pool with deterministic data-parallel [map]/[map_reduce]
+    over indexed work items.
 
     The pool owns [jobs - 1] worker domains (the caller is participant
     0, so [jobs = 1] degenerates to sequential execution in the calling
-    domain).  Every participant owns a deque of tasks — a Chase-Lev
-    style circular buffer, lock-protected rather than lock-free —
-    pushing and popping at the young end (LIFO) and being stolen from at
-    the old end by idle participants (oldest-first).  A batch seeds the
-    deques round-robin; tasks may spawn continuations into the running
-    participant's own deque ({!map_chunked}), which is how one long item
-    is split into stealable chunks.
+    domain).  A batch is a fixed array of independent items with one
+    atomic claim counter: each participant repeatedly claims the next
+    unclaimed index and runs that item until none is left.
 
     Determinism is structural, not scheduling-dependent: each result is
     written into a pre-sized slot of the output array at its item's
@@ -18,19 +14,22 @@
     escapes (lowest item index wins).
 
     Hand-rolled over [Domain] + [Mutex]/[Condition] + [Atomic] only: no
-    extra dependencies, no busy-waiting (idle participants block on a
+    extra dependencies, no busy-waiting (idle workers block on a
     condition variable, so oversubscribing a small host is safe).
 
     Restrictions, {e enforced}: batches must not nest — a task must not
-    itself call {!map}/{!map_chunked}/{!map_reduce} on the same pool —
-    and a pool must not be used after {!shutdown}.  Both misuses raise
+    itself call {!map}/{!map_list}/{!map_reduce} on the same pool — and
+    a pool must not be used after {!shutdown}.  Both misuses raise
     [Invalid_argument] instead of deadlocking. *)
 
 type t
 
 val create : jobs:int -> t
 (** Spawn a pool of [jobs] participants ([jobs - 1] new domains plus the
-    caller).  [jobs] is clamped to at least 1. *)
+    caller).  [jobs] is clamped to at least 1.  If the runtime refuses a
+    domain (it caps how many may run at once), the workers already
+    started are stopped and joined, and [create] raises
+    [Invalid_argument]. *)
 
 val jobs : t -> int
 (** Parallel width of the pool, including the calling domain. *)
@@ -42,32 +41,11 @@ val with_pool : jobs:int -> (t -> 'a) -> 'a
 (** [with_pool ~jobs f]: bracket [create]/[shutdown] around [f], also on
     exceptions. *)
 
-type ('s, 'b) progress =
-  | More of 's  (** the item needs another chunk, resuming from ['s] *)
-  | Done of 'b  (** the item's final result *)
-
-val map_chunked :
-  t ->
-  start:('a -> ('s, 'b) progress) ->
-  step:('s -> ('s, 'b) progress) ->
-  'a array ->
-  'b array
-(** Deterministic parallel map over chunkable items.  Item [i] begins
-    with [start xs.(i)] and, while the answer is [More s], continues
-    with [step s] — each continuation is a separate task, so a
-    participant (or a thief) can interleave other items' chunks between
-    two chunks of one item; chunks of a single item never run
-    concurrently, and each sees every effect of its predecessor.  The
-    result array is indexed like [xs].  If items raise (in [start] or
-    any [step]), the exception of the {e lowest-index} item is re-raised
-    in the caller with its backtrace once the batch has drained,
-    whatever order stealing completed items in; a failed item spawns no
-    further chunks. *)
-
 val map : t -> ('a -> 'b) -> 'a array -> 'b array
 (** Deterministic parallel map: same result as [Array.map f xs],
-    including which exception escapes (lowest item index).  Equivalent
-    to {!map_chunked} with a [start] that always answers [Done]. *)
+    including which exception escapes.  Every item runs; if some raise,
+    the exception of the {e lowest-index} one is re-raised in the caller
+    with its backtrace once the batch has finished. *)
 
 val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
 (** {!map} over a list, preserving order. *)

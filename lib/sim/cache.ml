@@ -45,44 +45,5 @@ let access t addr =
 let accesses t = t.accesses
 let misses t = t.misses
 
-(* Full cache state — geometry, tags and counters — as plain data, so a
-   segmented replay can checkpoint the cache at a segment boundary and
-   continue bit-identically in a different domain. *)
-type state = {
-  s_lines : int;
-  s_line_words : int;
-  s_penalty : int;
-  s_tags : int array;
-  s_accesses : int;
-  s_misses : int;
-}
-
-let snapshot t =
-  { s_lines = t.lines;
-    s_line_words = t.line_words;
-    s_penalty = t.penalty;
-    s_tags = Array.copy t.tags;
-    s_accesses = t.accesses;
-    s_misses = t.misses;
-  }
-
-let of_state s =
-  { lines = s.s_lines;
-    line_words = s.s_line_words;
-    penalty = s.s_penalty;
-    tags = Array.copy s.s_tags;
-    accesses = s.s_accesses;
-    misses = s.s_misses;
-  }
-
-let restore t s =
-  if t.lines <> s.s_lines || t.line_words <> s.s_line_words
-     || t.penalty <> s.s_penalty
-  then
-    invalid_arg "Cache.restore: snapshot from a different cache geometry";
-  Array.blit s.s_tags 0 t.tags 0 t.lines;
-  t.accesses <- s.s_accesses;
-  t.misses <- s.s_misses
-
 let miss_rate t =
   if t.accesses = 0 then 0.0 else float_of_int t.misses /. float_of_int t.accesses

@@ -21,17 +21,3 @@ val access : t -> int -> bool
 val accesses : t -> int
 val misses : t -> int
 val miss_rate : t -> float
-
-type state
-(** Full cache state — geometry, tags and hit/miss counters — as plain
-    copied data, for checkpointing a simulation at a segment boundary. *)
-
-val snapshot : t -> state
-(** An independent copy of the cache's current state. *)
-
-val of_state : state -> t
-(** A fresh cache continuing exactly from [state]. *)
-
-val restore : t -> state -> unit
-(** Overwrite [t] with [state].  Raises [Invalid_argument] if the
-    snapshot comes from a cache of different geometry or penalty. *)

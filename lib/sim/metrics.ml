@@ -34,7 +34,10 @@ let measure ?cache ?options (config : Config.t) program =
     sink = outcome.Exec.sink;
   }
 
-let finish_run (config : Config.t) pr timing =
+(* Time a bound binary against [config] by replaying its flat trace. *)
+let measure_prepared ?cache ?options (config : Config.t) pr =
+  let timing = Timing.create ?cache ~registers:(registers_of options) config in
+  Trace_buffer.run pr timing;
   Timing.finish timing;
   let sm = Trace_buffer.summary pr in
   { machine = config.Config.name;
@@ -47,74 +50,11 @@ let finish_run (config : Config.t) pr timing =
     sink = sm.Trace_buffer.s_sink;
   }
 
-(* Time a bound binary against [config] by replaying its flat trace. *)
-let measure_prepared ?cache ?options (config : Config.t) pr =
-  let timing = Timing.create ?cache ~registers:(registers_of options) config in
-  Trace_buffer.replay_steps pr (Trace_buffer.start pr) timing
-    ~max_steps:max_int;
-  finish_run config pr timing
-
 (* Time [program] against [config] by replaying a captured trace instead
    of re-interpreting; bit-identical to [measure] of the same program
    (see Trace_buffer). *)
 let measure_replay ?cache ?options (config : Config.t) trace program =
   measure_prepared ?cache ?options config (Trace_buffer.bind trace program)
-
-(* ---- Segmented replay ---------------------------------------------- *)
-
-(* Default segment length in dynamic instructions.  Large enough that
-   the per-segment snapshot/resume cost is noise, small enough that the
-   heaviest workload splits into dozens of segments a work-stealing
-   scheduler can interleave. *)
-let default_segment = 1 lsl 17
-
-(* A replay in flight, paused at an instruction boundary.  The prepared
-   binary is shared immutable data; the cursor is single-owner mutable
-   state and the snapshot is plain copied data, so a chain of
-   [replay_segmented_step] calls may hop between domains as long as
-   each handoff orders the previous step before the next (a
-   work-stealing pool's deque does exactly that). *)
-type segmented = {
-  sg_config : Config.t;
-  sg_prepared : Trace_buffer.prepared;
-  sg_cursor : Trace_buffer.cursor;
-  sg_snap : Timing.snapshot;
-  sg_segment : int;
-}
-
-(* Advance one segment on [timing] and package the outcome. *)
-let seg_advance config pr cu segment timing =
-  Trace_buffer.replay_steps pr cu timing ~max_steps:segment;
-  if Trace_buffer.cursor_done cu then `Done (finish_run config pr timing)
-  else
-    `More
-      { sg_config = config;
-        sg_prepared = pr;
-        sg_cursor = cu;
-        sg_snap = Timing.snapshot timing;
-        sg_segment = segment;
-      }
-
-let replay_segmented_start ?cache ?options ?(segment = default_segment)
-    (config : Config.t) trace program =
-  let segment = max 1 segment in
-  let pr = Trace_buffer.bind trace program in
-  let cu = Trace_buffer.start pr in
-  let timing = Timing.create ?cache ~registers:(registers_of options) config in
-  seg_advance config pr cu segment timing
-
-let replay_segmented_step sg =
-  seg_advance sg.sg_config sg.sg_prepared sg.sg_cursor sg.sg_segment
-    (Timing.resume sg.sg_snap)
-
-(* The sequential driver: equivalent to [measure_replay], exercising the
-   same segment chain a parallel scheduler would. *)
-let measure_replay_segmented ?cache ?options ?segment config trace program =
-  let rec drive = function
-    | `Done run -> run
-    | `More sg -> drive (replay_segmented_step sg)
-  in
-  drive (replay_segmented_start ?cache ?options ?segment config trace program)
 
 (* Dynamic instruction-class frequencies of a run, as fractions. *)
 let class_frequencies run : Superpipelining.frequencies =

@@ -50,48 +50,6 @@ val measure_prepared :
     against [config]: the sweep engine captures each program once and
     binds every schedule of it. *)
 
-(** {1 Segmented replay}
-
-    A replay cut into bounded segments at dynamic-instruction
-    boundaries.  Each step replays at most [segment] instructions and
-    checkpoints the full timing state ({!Timing.snapshot}), so the
-    chain can be scheduled as separate tasks — possibly on different
-    domains — and the final {!run} is bit-identical to
-    {!measure_replay} whatever the segment size.  Note that when a
-    [cache] is supplied, only the first segment mutates the caller's
-    cache object: later segments continue from checkpointed copies, and
-    the cumulative hit/miss counts live in the final (internal) copy —
-    the {!run} itself is unaffected. *)
-
-type segmented
-(** A replay in flight, paused at a segment boundary. *)
-
-val replay_segmented_start :
-  ?cache:Cache.t ->
-  ?options:Exec.options ->
-  ?segment:int ->
-  Config.t ->
-  Trace_buffer.t ->
-  Ilp_ir.Program.t ->
-  [ `Done of run | `More of segmented ]
-(** Prepare the replay and run its first segment ([segment] defaults to
-    [2{^17}] dynamic instructions and is clamped to at least 1); a trace
-    no longer than one segment completes immediately. *)
-
-val replay_segmented_step : segmented -> [ `Done of run | `More of segmented ]
-(** Resume from the checkpoint and run the next segment. *)
-
-val measure_replay_segmented :
-  ?cache:Cache.t ->
-  ?options:Exec.options ->
-  ?segment:int ->
-  Config.t ->
-  Trace_buffer.t ->
-  Ilp_ir.Program.t ->
-  run
-(** Drive the whole segment chain sequentially; bit-identical to
-    {!measure_replay}. *)
-
 val class_frequencies : run -> Superpipelining.frequencies
 (** The run's dynamic instruction-class mix, as fractions. *)
 

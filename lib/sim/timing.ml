@@ -121,76 +121,6 @@ let create ?cache ?(registers = Exec.default_options.Exec.registers)
     decoded = Int_table.create 512;
   }
 
-(* Complete mutable state of a timing model at an instruction (packet)
-   boundary, as plain copied data: the hazard state that constrains
-   future issue (scoreboard, functional-unit reservations, current
-   cycle, the partially filled issue packet, cache tags and the blocking
-   stall horizon) together with the accumulators (instruction count,
-   stall cycles, issue histogram, cache counters).  A replay split into
-   segments checkpoints here and continues in a fresh [t] — possibly in
-   another domain — with bit-identical results; the accumulators ride
-   along, so the "merge" of consecutive segments is the carry itself and
-   the final segment's state is the whole run's state. *)
-type snapshot = {
-  snap_config : Config.t;
-  snap_registers : int;
-  snap_reg_ready : int array;
-  snap_free_at : int array array;  (** per unit pool, declaration order *)
-  snap_now : int;
-  snap_issued_this_cycle : int;
-  snap_instrs : int;
-  snap_stall_cycles : int;
-  snap_cache : Cache.state option;
-  snap_cache_stall_until : int;
-  snap_issue_histogram : int array;
-  snap_force_cycle_end : bool;
-  snap_finished : bool;
-}
-
-let snapshot t =
-  { snap_config = t.config;
-    snap_registers = Array.length t.reg_ready;
-    snap_reg_ready = Array.copy t.reg_ready;
-    snap_free_at =
-      Array.of_list (List.map (fun p -> Array.copy p.free_at) t.pools);
-    snap_now = t.now;
-    snap_issued_this_cycle = t.issued_this_cycle;
-    snap_instrs = t.instrs;
-    snap_stall_cycles = t.stall_cycles;
-    snap_cache = Option.map Cache.snapshot t.cache;
-    snap_cache_stall_until = t.cache_stall_until;
-    snap_issue_histogram = Array.copy t.issue_histogram;
-    snap_force_cycle_end = t.force_cycle_end;
-    snap_finished = t.finished;
-  }
-
-(* A fresh timing model continuing exactly where [snap] left off.  The
-   snapshot is not consumed: resuming twice from the same snapshot gives
-   two independent, identical continuations. *)
-let resume snap =
-  let t = create ~registers:snap.snap_registers snap.snap_config in
-  Array.blit snap.snap_reg_ready 0 t.reg_ready 0
-    (Array.length snap.snap_reg_ready);
-  List.iteri
-    (fun k p ->
-      Array.blit snap.snap_free_at.(k) 0 p.free_at 0 (Array.length p.free_at))
-    t.pools;
-  Array.blit snap.snap_issue_histogram 0 t.issue_histogram 0
-    (Array.length snap.snap_issue_histogram);
-  let t =
-    { t with
-      cache = Option.map Cache.of_state snap.snap_cache;
-      now = snap.snap_now;
-      issued_this_cycle = snap.snap_issued_this_cycle;
-      instrs = snap.snap_instrs;
-      stall_cycles = snap.snap_stall_cycles;
-      cache_stall_until = snap.snap_cache_stall_until;
-      force_cycle_end = snap.snap_force_cycle_end;
-      finished = snap.snap_finished;
-    }
-  in
-  t
-
 (* Close the open cycle and move to cycle [c > t.now]: the open cycle
    lands in the histogram slot of its issue count, and each of the
    [c - t.now - 1] cycles in between issued nothing. *)
@@ -334,36 +264,23 @@ let flag_control = 2
 type visits = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
 type addresses = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
 
-type flat_walk = {
-  mutable fw_visit : int;
-  mutable fw_offset : int;
-  mutable fw_abase : int;
-  mutable fw_steps : int;
-}
-
-(* Issue up to [max_steps] further dynamic instructions: the segment
-   visits of [visits] from the walk's position on, each segment's slots
-   in order, with a memory slot's address taken from the visit's block
-   of [addrs].  The loop lives here, next to [step], because the dev
-   profile compiles with [-opaque]: a loop in another module reaches
-   [step] only through a generic application per instruction, while
-   here [step] is inlined into it. *)
-let replay_flat t (code : flat_code) (visits : visits) (addrs : addresses)
-    (w : flat_walk) ~max_steps =
-  let n_visits = Bigarray.Array1.dim visits in
+(* Issue every dynamic instruction of the trace: the segment visits of
+   [visits] in order, each segment's slots in order, with a memory
+   slot's address taken from the visit's block of [addrs].  The loop
+   lives here, next to [step], because the dev profile compiles with
+   [-opaque]: a loop in another module reaches [step] only through a
+   generic application per instruction, while here [step] is inlined
+   into it. *)
+let replay_flat t (code : flat_code) (visits : visits) (addrs : addresses) =
   let regs = code.fc_regs in
-  let budget = ref max_steps in
-  while !budget > 0 && w.fw_visit < n_visits do
-    let s = Int32.to_int visits.{w.fw_visit} in
-    let first = code.fc_seg_first.(s) and len = code.fc_seg_len.(s) in
-    let from = w.fw_offset in
-    let stop = if len - from > !budget then from + !budget else len in
-    let abase = w.fw_abase in
-    for j = first + from to first + stop - 1 do
+  let abase = ref 0 in
+  for v = 0 to Bigarray.Array1.dim visits - 1 do
+    let s = Int32.to_int visits.{v} in
+    let first = code.fc_seg_first.(s) in
+    let base = !abase in
+    for j = first to first + code.fc_seg_len.(s) - 1 do
       let rank = code.fc_mrank.(j) in
-      let addr =
-        if rank < 0 then -1 else Int32.to_int addrs.{abase + rank}
-      in
+      let addr = if rank < 0 then -1 else Int32.to_int addrs.{base + rank} in
       let flags = code.fc_flags.(j) in
       let r0 = code.fc_reg_first.(j) and nd = code.fc_ndefs.(j) in
       step t ~cls:code.fc_cls.(j)
@@ -373,14 +290,7 @@ let replay_flat t (code : flat_code) (visits : visits) (addrs : addresses)
         (code.fc_reg_first.(j + 1) - r0 - nd)
         addr
     done;
-    budget := !budget - (stop - from);
-    w.fw_steps <- w.fw_steps + (stop - from);
-    if stop = len then begin
-      w.fw_visit <- w.fw_visit + 1;
-      w.fw_offset <- 0;
-      w.fw_abase <- abase + code.fc_seg_mem.(s)
-    end
-    else w.fw_offset <- stop
+    abase := base + code.fc_seg_mem.(s)
   done
 
 let reg_indices regs = Array.of_list (List.map Reg.index regs)

@@ -77,28 +77,6 @@ val create : ?cache:Cache.t -> ?registers:int -> Config.t -> t
 (** [registers] sizes the scoreboard to the simulated register file;
     defaults to [Exec.default_options.registers]. *)
 
-type snapshot
-(** Complete mutable state of a timing model at an instruction (packet)
-    boundary, as plain copied data: hazard state (scoreboard,
-    functional-unit reservations, current cycle, partially filled issue
-    packet, cache tags, blocking-stall horizon) plus the accumulators
-    (instruction count, stall cycles, issue histogram, cache counters).
-    Checkpointing here is exact: a run split at arbitrary boundaries by
-    {!snapshot}/{!resume} is bit-identical to the unsegmented run, and
-    the accumulators are carried through each segment in order, so the
-    final segment's state {e is} the deterministic merge of all
-    segments. *)
-
-val snapshot : t -> snapshot
-(** An independent copy of the model's current state; [t] may continue
-    to be used. *)
-
-val resume : snapshot -> t
-(** A fresh timing model (with its own cache, when the snapshot recorded
-    one) continuing exactly where the snapshot was taken.  The snapshot
-    is not consumed: resuming twice yields two independent, identical
-    continuations. *)
-
 val issue : t -> Ilp_ir.Instr.t -> int -> unit
 (** Account one dynamic instruction; the second argument is the
     effective address of a memory operation or [-1].  After the call,
@@ -170,19 +148,10 @@ type addresses = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.
 (** Effective addresses: each visit's block of [fc_seg_mem] entries, in
     visit order. *)
 
-type flat_walk = {
-  mutable fw_visit : int;  (** next segment visit *)
-  mutable fw_offset : int;  (** instructions of that visit already issued *)
-  mutable fw_abase : int;  (** its first entry in the addresses *)
-  mutable fw_steps : int;  (** dynamic instructions issued so far *)
-}
-
-val replay_flat :
-  t -> flat_code -> visits -> addresses -> flat_walk -> max_steps:int -> unit
-(** Issue up to [max_steps] further dynamic instructions from the walk's
-    position, advancing it; a walk may stop and resume at any
-    instruction.  Each instruction goes through the same issue step as
-    {!issue_decoded}. *)
+val replay_flat : t -> flat_code -> visits -> addresses -> unit
+(** Issue every dynamic instruction of the trace: each visit's segment
+    slot by slot, in visit order.  Each instruction goes through the
+    same issue step as {!issue_decoded}. *)
 
 val observer : t -> Exec.observer
 

@@ -30,13 +30,7 @@
    [-opaque], under which a loop here would reach the issue step
    through a generic application per instruction.  Any mismatch
    between the trace and the binary raises [Divergence] rather than
-   producing wrong timings.
-
-   Segment numbers are a pure function of the compiled program, so the
-   trace store keeps the flat form as it is.  [unpack] re-validates a
-   stored trace against the program it is attached to: the visits must
-   follow the segments' control flow from [main] to the end of the run,
-   and the instruction, address and class totals must match. *)
+   producing wrong timings. *)
 
 open Ilp_ir
 
@@ -157,132 +151,19 @@ let class_counts t = t.summary.s_class_counts
 
 type stats = { visits : int; addresses : int; dyn : int; bytes : int }
 
-
-let equal_arrays (a : Timing.visits) (b : Timing.visits) =
-  let n = Bigarray.Array1.dim a in
-  n = Bigarray.Array1.dim b
-  &&
-  let rec go k = k >= n || (Int32.equal a.{k} b.{k} && go (k + 1)) in
-  go 0
-
-let equal a b =
-  a.summary.s_dyn_instrs = b.summary.s_dyn_instrs
-  && Value.equal a.summary.s_sink b.summary.s_sink
-  && a.summary.s_class_counts = b.summary.s_class_counts
-  && equal_arrays a.visit_seq b.visit_seq
-  && equal_arrays a.addr_seq b.addr_seq
-
-(* ---- packing for the trace store --------------------------------------- *)
-
-type packed = {
-  p_dyn_instrs : int;
-  p_sink : Value.t;
-  p_class_counts : int array;
-  p_visits : Timing.visits;
-  p_addrs : Timing.addresses;
-}
-
-let pack t =
-  { p_dyn_instrs = t.summary.s_dyn_instrs;
-    p_sink = t.summary.s_sink;
-    p_class_counts = Array.copy t.summary.s_class_counts;
-    p_visits = t.visit_seq;
-    p_addrs = t.addr_seq;
-  }
-
-(* 4 bytes per visit and per address: the payload as stored *)
-let packed_stats pk =
-  let visits = Bigarray.Array1.dim pk.p_visits in
-  let addresses = Bigarray.Array1.dim pk.p_addrs in
-  { visits; addresses; dyn = pk.p_dyn_instrs;
+(* 4 bytes per visit and per address: the payload *)
+let stats t =
+  let visits = Bigarray.Array1.dim t.visit_seq in
+  let addresses = Bigarray.Array1.dim t.addr_seq in
+  { visits; addresses; dyn = t.summary.s_dyn_instrs;
     bytes = 4 * (visits + addresses) }
 
-let stats t = packed_stats (pack t)
 let byte_size t = (stats t).bytes
-
-(* Follow the visits through [sh] the way Exec moves between segments:
-   the first is [main]'s entry, each later one is a way control can
-   leave the one before (a call returns to the segment after it), and
-   the last ends the run with a halt or a return from [main].  The
-   instruction, address and class totals the visits imply must be the
-   summary's. *)
-let validate sh seg_mem (pk : packed) =
-  let l = sh.sh_layout in
-  let n_segs = Array.length sh.sh_kind in
-  let visits = pk.p_visits in
-  let per_seg = Array.make n_segs 0 in
-  let steps = ref 0 and used = ref 0 and stack = ref [] in
-  (* the segments the next visit may be; [ended] once the run is over *)
-  let e1 = ref sh.sh_entry and e2 = ref sh.sh_entry and ended = ref false in
-  for k = 0 to Bigarray.Array1.dim visits - 1 do
-    let s = Int32.to_int visits.{k} in
-    if !ended then divergence "visit %d comes after the end of the run" k;
-    if s < 0 || s >= n_segs || (s <> !e1 && s <> !e2) then
-      divergence "visit %d (segment %d) cannot follow the visit before it" k s;
-    per_seg.(s) <- per_seg.(s) + 1;
-    steps := !steps + l.Exec.seg_len.(s);
-    used := !used + seg_mem.(s);
-    let next = sh.sh_next.(s) and target = sh.sh_target.(s) in
-    match sh.sh_kind.(s) with
-    | Fall ->
-        e1 := next;
-        e2 := next
-    | Branch ->
-        e1 := next;
-        e2 := target
-    | Jump ->
-        e1 := target;
-        e2 := target
-    | Call ->
-        stack := next :: !stack;
-        e1 := target;
-        e2 := target
-    | Ret -> (
-        match !stack with
-        | ra :: rest ->
-            stack := rest;
-            e1 := ra;
-            e2 := ra
-        | [] -> ended := true)
-    | Halt -> ended := true
-  done;
-  if not !ended then divergence "the trace ends before the run does";
-  if !steps <> pk.p_dyn_instrs then
-    divergence "the visits hold %d instructions, the trace %d" !steps
-      pk.p_dyn_instrs;
-  if !used <> Bigarray.Array1.dim pk.p_addrs then
-    divergence "the visits use %d addresses, the trace holds %d" !used
-      (Bigarray.Array1.dim pk.p_addrs);
-  let classes = Array.make Iclass.count 0 in
-  Array.iteri
-    (fun s c ->
-      if c > 0 then
-        let first = l.Exec.seg_first.(s) in
-        for k = first to first + l.Exec.seg_len.(s) - 1 do
-          let x = Iclass.to_index (Instr.iclass l.Exec.code.(k)) in
-          classes.(x) <- classes.(x) + c
-        done)
-    per_seg;
-  if classes <> pk.p_class_counts then
-    divergence "the visits' instruction classes differ from the trace's"
-
-let unpack pk (p : Program.t) =
-  let sh = shape p in
-  let t =
-    make
-      { s_dyn_instrs = pk.p_dyn_instrs;
-        s_sink = pk.p_sink;
-        s_class_counts = Array.copy pk.p_class_counts;
-      }
-      sh pk.p_visits pk.p_addrs
-  in
-  validate sh t.seg_mem pk;
-  t
 
 (* ---- binding --------------------------------------------------------- *)
 
 (* A trace bound to one concrete binary.  Immutable after construction;
-   many cursors may walk one [prepared]. *)
+   it may be replayed any number of times, from any domain. *)
 type prepared = { pr_trace : t; pr_code : Timing.flat_code }
 
 let summary pr = pr.pr_trace.summary
@@ -403,33 +284,10 @@ let bind (t : t) (binary : Program.t) =
 
 (* ---- running ---------------------------------------------------------- *)
 
-(* Walk state: the position in the visit sequence and the count of
-   dynamic instructions replayed so far.  Mutable and single-owner:
-   exactly one domain advances a cursor at a time (a work-stealing pool
-   hands it between domains with the necessary happens-before
-   ordering). *)
-type cursor = { cu_walk : Timing.flat_walk; cu_visits : int }
-
-let cursor_done cu = cu.cu_walk.Timing.fw_visit >= cu.cu_visits
-let steps cu = cu.cu_walk.Timing.fw_steps
-
-(* A cursor at the entry point with nothing consumed.  Capture and
-   [unpack] have already checked the whole trace, so an empty one
-   starts done. *)
-let start pr =
-  { cu_walk =
-      { Timing.fw_visit = 0; fw_offset = 0; fw_abase = 0; fw_steps = 0 };
-    cu_visits = Bigarray.Array1.dim pr.pr_trace.visit_seq;
-  }
-
-(* Replay at most [max_steps] dynamic instructions into [timing],
-   advancing the cursor.  A cut may fall at any instruction, even inside
-   a segment visit: the cursor keeps the offset into the visit, and the
-   timing snapshot carries the partially filled packet. *)
-let replay_steps pr cu (timing : Timing.t) ~max_steps =
+(* Capture and [bind] have already checked the whole trace against the
+   binary, so replay never raises [Divergence]. *)
+let run pr (timing : Timing.t) =
   Timing.replay_flat timing pr.pr_code pr.pr_trace.visit_seq
-    pr.pr_trace.addr_seq cu.cu_walk ~max_steps
+    pr.pr_trace.addr_seq
 
-let replay t (p : Program.t) (timing : Timing.t) =
-  let pr = bind t p in
-  replay_steps pr (start pr) timing ~max_steps:max_int
+let replay t (p : Program.t) (timing : Timing.t) = run (bind t p) timing

@@ -27,11 +27,9 @@
 open Ilp_ir
 
 exception Divergence of string
-(** The trace and a program disagree: a stored trace's visits do not
-    follow the program's control flow or its totals differ, or a binary
-    is not a schedule-sibling of the captured program (an instruction is
-    missing, foreign, duplicated or outside its issue segment, or
-    control leaves a segment differently). *)
+(** A binary is not a schedule-sibling of the captured program: an
+    instruction is missing, foreign, duplicated or outside its issue
+    segment, or control leaves a segment differently. *)
 
 type t
 (** A captured trace over its program's issue segments.  Immutable; it
@@ -63,46 +61,13 @@ val stats : t -> stats
 val byte_size : t -> int
 (** [= (stats t).bytes]. *)
 
-val equal : t -> t -> bool
-(** Same run summary, visits and addresses.  A trace compares equal to
-    its {!pack}/{!unpack} round trip. *)
-
-(** {1 Packing for the persistent trace store}
-
-    Segment numbers are a pure function of the compiled program, so the
-    flat form is already position-independent: a packed trace written by
-    one process re-attaches in another that compiled the same program.
-    [Ilp_store] serializes this form to disk. *)
-
-type packed = {
-  p_dyn_instrs : int;
-  p_sink : Value.t;
-  p_class_counts : int array;
-  p_visits : Timing.visits;
-  p_addrs : Timing.addresses;
-}
-
-val pack : t -> packed
-(** The trace's summary and arrays (shared, not copied). *)
-
-val packed_stats : packed -> stats
-(** {!stats} of a packed trace; [stats t = packed_stats (pack t)]. *)
-
-val unpack : packed -> Program.t -> t
-(** Attach a packed trace to [program], re-validating it: the first
-    visit is [main]'s entry segment, every later visit is a way control
-    can leave the one before (a call returns to the segment after it),
-    the last ends the run, and the visits' instruction, address and
-    class totals are the packed summary's.  Raises {!Divergence}
-    otherwise.  [unpack (pack t) p] is {!equal} to [t] when [t] was
-    captured from [p]. *)
-
 (** {1 Replay} *)
 
 type prepared
 (** A trace bound to one concrete binary: its instructions decoded in
     the binary's own order, slot by slot per issue segment.  Immutable
-    after construction; many cursors may walk one [prepared]. *)
+    after construction; it may be replayed any number of times, from
+    any domain. *)
 
 val bind : t -> Program.t -> prepared
 (** Bind the trace to a schedule-sibling [binary] of the captured
@@ -121,38 +86,12 @@ val summary : prepared -> summary
 (** The captured run's dynamic instruction count, checksum and class
     counts. *)
 
+val run : prepared -> Timing.t -> unit
+(** Replay the whole trace over the bound binary into [timing] with
+    {!Timing.replay_flat}.  Every consistency check has already run in
+    {!capture} and {!bind}, so this never raises {!Divergence}. *)
+
 val replay : t -> Program.t -> Timing.t -> unit
 (** [replay t binary timing] drives [timing] with the captured stream
-    laid over [binary].  Raises {!Divergence} if [binary] is not a
-    schedule-sibling of the captured program.  Equivalent to {!bind}
-    followed by one whole-trace {!replay_steps}. *)
-
-(** {1 Segmented replay}
-
-    A replay can be cut at any dynamic instruction: a {!cursor} holds
-    the position in the visit sequence, and each {!replay_steps} call
-    advances at most [max_steps] dynamic instructions.  Combined with
-    {!Timing.snapshot}/{!Timing.resume} at the same boundaries,
-    segmented replay is bit-identical to an unsegmented {!replay} —
-    whatever the cut positions, including empty and whole-trace
-    segments. *)
-
-type cursor
-(** Walk state over a {!prepared} binary: the position in the visit
-    sequence and the dynamic-instruction count.  Mutable, single-owner —
-    advance it from one domain at a time. *)
-
-val start : prepared -> cursor
-(** A cursor at the entry point with nothing consumed. *)
-
-val cursor_done : cursor -> bool
-(** Every dynamic instruction of the trace has been replayed. *)
-
-val steps : cursor -> int
-(** Dynamic instructions replayed through this cursor so far. *)
-
-val replay_steps : prepared -> cursor -> Timing.t -> max_steps:int -> unit
-(** Replay at most [max_steps] further dynamic instructions into
-    [timing] ([max_steps <= 0] replays nothing).  Every consistency
-    check has already run in {!capture} or {!unpack} and in {!bind}, so
-    this never raises {!Divergence}. *)
+    laid over [binary]: {!bind}, then {!run}.  Raises {!Divergence} if
+    [binary] is not a schedule-sibling of the captured program. *)

@@ -16,7 +16,6 @@ let () =
       ("extensions", Test_extensions.tests);
       ("validate", Test_validate.tests);
       ("replay", Test_replay.tests);
-      ("store", Test_store.tests);
       ("par", Test_par.tests);
       ("analysis", Test_analysis.tests);
       ("dataflow", Test_dataflow.tests);

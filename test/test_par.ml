@@ -51,28 +51,9 @@ let prop_lowest_index_exception =
       in
       outcome = !first_failure)
 
-(* Chunked chains: item (v, k) takes k bounded steps, each adding 1, so
-   the expected result is v + k — and every step count, including 0,
-   must agree with the serial fold. *)
-let prop_map_chunked =
-  QCheck2.Test.make ~count:100
-    ~name:"Pool.map_chunked = serial chain fold (jobs 1-4)"
-    ~print:QCheck2.Print.(pair int (list (pair int int)))
-    QCheck2.Gen.(
-      pair (int_range 1 4)
-        (list_size (int_bound 100) (pair small_int (int_bound 8))))
-    (fun (jobs, xs) ->
-      let xs = Array.of_list xs in
-      let advance (acc, k) =
-        if k = 0 then Pool.Done acc else Pool.More (acc + 1, k - 1)
-      in
-      let expected = Array.map (fun (v, k) -> v + k) xs in
-      Pool.with_pool ~jobs (fun pool ->
-          Pool.map_chunked pool ~start:advance ~step:advance xs = expected))
-
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_map_is_array_map; prop_lowest_index_exception; prop_map_chunked ]
+    [ prop_map_is_array_map; prop_lowest_index_exception ]
 
 (* ------------------------------------------------------------------ *)
 (* Pool unit tests                                                     *)
@@ -141,8 +122,8 @@ let test_nested_batch_rejected () =
         [| 2; 4; 6 |]
         (Pool.map pool (fun x -> 2 * x) [| 1; 2; 3 |]))
 
-(* Two failing items in one batch: with work stealing either may run
-   first, but the lower index must win deterministically. *)
+(* Two failing items in one batch: either may finish first, but the
+   lower index must win deterministically. *)
 let test_two_raisers_lowest_wins () =
   Pool.with_pool ~jobs:4 (fun pool ->
       let f i = if i = 23 || i = 77 then raise (Boom i) else i in
@@ -151,20 +132,18 @@ let test_two_raisers_lowest_wins () =
         | _ -> -1
         | exception Boom i -> i))
 
-(* The same guarantee when the failure happens mid-chain in a chunked
-   map, with every item several chunks long. *)
-let test_chunked_failure_lowest_wins () =
-  Pool.with_pool ~jobs:3 (fun pool ->
-      let start i = Pool.More (i, 0) in
-      let step (i, n) =
-        if (i = 30 || i = 60) && n = 2 then raise (Boom i)
-        else if n = 5 then Pool.Done i
-        else Pool.More (i, n + 1)
-      in
-      Alcotest.(check int) "lowest-index chain failure escapes" 30
-        (match Pool.map_chunked pool ~start ~step (Array.init 80 Fun.id) with
-        | _ -> -1
-        | exception Boom i -> i))
+(* Asking for more domains than the runtime allows fails cleanly: the
+   workers already started are joined, so a later pool still starts. *)
+let test_create_beyond_domain_limit () =
+  Alcotest.(check bool) "create ~jobs:100000 raises Invalid_argument" true
+    (match Pool.create ~jobs:100_000 with
+    | pool ->
+        Pool.shutdown pool;
+        false
+    | exception Invalid_argument _ -> true);
+  Alcotest.(check (array int)) "a 2-job pool works afterwards" [| 2; 4; 6 |]
+    (Pool.with_pool ~jobs:2 (fun pool ->
+         Pool.map pool (fun x -> 2 * x) [| 1; 2; 3 |]))
 
 (* ------------------------------------------------------------------ *)
 (* engine determinism: parallel sweeps render byte-identically          *)
@@ -217,8 +196,8 @@ let tests =
         test_nested_batch_rejected;
       Alcotest.test_case "two raisers: lowest index wins" `Quick
         test_two_raisers_lowest_wins;
-      Alcotest.test_case "chunked failure: lowest index wins" `Quick
-        test_chunked_failure_lowest_wins ]
+      Alcotest.test_case "create beyond the domain limit" `Quick
+        test_create_beyond_domain_limit ]
   @ [ Alcotest.test_case "fig4_1 replays 120 distinct cells" `Quick
         test_fig4_1_distinct_cells ]
   @ determinism_tests

@@ -362,6 +362,9 @@ let test_cli_exit_codes () =
       (run "%s lint -b whet --json > /dev/null 2>&1" cli);
     Alcotest.(check int) "sanitize, clean benchmark" 0
       (run "%s sanitize -b redblack > /dev/null 2>&1" cli);
+    (* more domains than the runtime allows is a usage error *)
+    Alcotest.(check int) "experiment, --jobs beyond the domain limit" 2
+      (run "%s experiment fig1_1 --jobs 100000 > /dev/null 2>&1" cli);
     with_source_file oob_source (fun path ->
         Alcotest.(check int) "lint text, proved oob" 1
           (run "%s lint --file %s > /dev/null 2>&1" cli path);

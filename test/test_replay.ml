@@ -115,117 +115,6 @@ let test_measure_replay_equals_measure () =
   Alcotest.(check (array int)) "class_counts" d.Metrics.class_counts
     r.Metrics.class_counts
 
-(* ------------------------------------------------------------------ *)
-(* segmented replay                                                    *)
-
-(* Replay [trace] over [binary] cut into segments of the given sizes
-   (cycled; 0-length segments replay nothing), checkpointing the timing
-   model with [Timing.snapshot]/[Timing.resume] at every boundary —
-   exactly the chain a parallel sweep schedules.  [sizes] must contain
-   a positive entry so the walk makes progress. *)
-let segmented_timing ?cache config trace binary (sizes : int array) =
-  if not (Array.exists (fun s -> s > 0) sizes) then
-    invalid_arg "segmented_timing: all-zero segment sizes";
-  let pr = Trace_buffer.bind trace binary in
-  let cu = Trace_buffer.start pr in
-  let t = ref (Timing.create ?cache config) in
-  let k = ref 0 in
-  while not (Trace_buffer.cursor_done cu) do
-    let size = sizes.(!k mod Array.length sizes) in
-    incr k;
-    Trace_buffer.replay_steps pr cu !t ~max_steps:size;
-    if not (Trace_buffer.cursor_done cu) then
-      t := Timing.resume (Timing.snapshot !t)
-  done;
-  Timing.finish !t;
-  !t
-
-(* one shared capture for the segmentation tests (yacc is the smallest
-   non-trivial workload: ~49k dynamic instructions) *)
-let seg_fixture =
-  lazy
-    (let w =
-       match Ilp_workloads.Registry.find "yacc" with
-       | Some w -> w
-       | None -> Alcotest.fail "no yacc workload"
-     in
-     let pre =
-       Ilp_core.Ilp.compile_unscheduled ~level Presets.base w.W.source
-     in
-     (pre, Trace_buffer.capture pre))
-
-let test_segmented_equals_replay_all_presets () =
-  let pre, trace = Lazy.force seg_fixture in
-  let n = Trace_buffer.dyn_instrs trace in
-  (* mixed cuts including empty segments; one-segment whole trace; and
-     a segment larger than the trace *)
-  let cut_patterns =
-    [ [| 0; 1; 7; 1000; 0; 5000 |]; [| n |]; [| n + 42 |]; [| 313 |] ]
-  in
-  List.iter
-    (fun config ->
-      let binary = Ilp_core.Ilp.schedule ~level config pre in
-      let reference = fingerprint (replay_timing config trace binary) in
-      List.iteri
-        (fun i sizes ->
-          let name =
-            Printf.sprintf "yacc/%s, cut pattern %d" config.Config.name i
-          in
-          if fingerprint (segmented_timing config trace binary sizes)
-             <> reference
-          then Alcotest.failf "%s: segmented replay differs" name)
-        cut_patterns)
-    presets
-
-let prop_segmented_random_cuts =
-  QCheck2.Test.make ~count:25
-    ~name:"segmented replay = replay at random cut positions"
-    ~print:QCheck2.Print.(pair int (list int))
-    QCheck2.Gen.(
-      pair (int_bound (List.length presets - 1))
-        (list_size (int_bound 12) (int_bound 4000)))
-    (fun (preset_idx, sizes) ->
-      let pre, trace = Lazy.force seg_fixture in
-      let config = List.nth presets preset_idx in
-      let binary = Ilp_core.Ilp.schedule ~level config pre in
-      (* keep the generated cuts (including zeros) but guarantee
-         progress by appending a positive size *)
-      let sizes = Array.of_list (sizes @ [ 997 ]) in
-      fingerprint (segmented_timing config trace binary sizes)
-      = fingerprint (replay_timing config trace binary))
-
-let test_measure_replay_segmented_with_cache () =
-  let pre, trace = Lazy.force seg_fixture in
-  List.iter
-    (fun config ->
-      let binary = Ilp_core.Ilp.schedule ~level config pre in
-      List.iter
-        (fun segment ->
-          let r =
-            Metrics.measure_replay ~cache:(fresh_cache ()) config trace binary
-          in
-          let s =
-            Metrics.measure_replay_segmented ~cache:(fresh_cache ()) ~segment
-              config trace binary
-          in
-          let name =
-            Printf.sprintf "yacc+cache/%s, segment %d" config.Config.name
-              segment
-          in
-          Alcotest.(check int)
-            (name ^ ": minor_cycles")
-            r.Metrics.minor_cycles s.Metrics.minor_cycles;
-          Alcotest.(check int)
-            (name ^ ": stall_cycles")
-            r.Metrics.stall_cycles s.Metrics.stall_cycles;
-          Alcotest.(check int)
-            (name ^ ": dyn_instrs")
-            r.Metrics.dyn_instrs s.Metrics.dyn_instrs;
-          Helpers.check_float (name ^ ": speedup") r.Metrics.speedup
-            s.Metrics.speedup)
-        [ 1000; 1 lsl 17 ])
-    [ Presets.base; Presets.superscalar 4 ]
-
 let test_divergence_on_foreign_binary () =
   let find name =
     match Ilp_workloads.Registry.find name with
@@ -489,11 +378,6 @@ let test_bind_rejects_moved_control () =
 let tests =
   [ Alcotest.test_case "replay = direct with cache" `Slow
       test_replay_with_cache;
-    Alcotest.test_case "segmented = replay, all presets" `Slow
-      test_segmented_equals_replay_all_presets;
-    QCheck_alcotest.to_alcotest prop_segmented_random_cuts;
-    Alcotest.test_case "measure_replay_segmented = measure_replay (cache)"
-      `Slow test_measure_replay_segmented_with_cache;
     Alcotest.test_case "measure_replay = measure" `Slow
       test_measure_replay_equals_measure;
     Alcotest.test_case "foreign binary diverges" `Quick

@@ -200,81 +200,6 @@ let test_histogram_accounts_drain () =
   Alcotest.(check int) "histogram covers every minor cycle"
     (Timing.minor_cycles t) (histogram_total t)
 
-(* Snapshot/resume round-trip: split an instruction stream at an
-   arbitrary point, resume in a fresh model, and the final cycle count,
-   stalls and histogram must match the unsplit run — including a cache
-   whose tag state straddles the cut (the repeated address must hit
-   after the cut only if the fill before the cut was carried over). *)
-let test_snapshot_resume_roundtrip () =
-  let config = Presets.superscalar 2 in
-  let stream =
-    List.concat_map
-      (fun k ->
-        [ (Instr.make Opcode.Ld ~dst:(r (20 + (k mod 8)))
-             ~srcs:[ Instr.Oreg Reg.sp ] ~offset:k,
-           17 * (k mod 5));
-          (Instr.make Opcode.Add ~dst:(r 40)
-             ~srcs:[ Instr.Oreg (r (20 + (k mod 8))); Instr.Oreg (r 40) ],
-           -1)
-        ])
-      (List.init 12 Fun.id)
-  in
-  let run_with cuts =
-    let cache = Ilp_sim.Cache.create ~lines:4 ~line_words:1 ~penalty:9 () in
-    let t = ref (Timing.create ~cache config) in
-    List.iteri
-      (fun k (i, addr) ->
-        if List.mem k cuts then t := Timing.resume (Timing.snapshot !t);
-        Timing.issue !t i addr)
-      stream;
-    Timing.finish !t;
-    ( Timing.minor_cycles !t,
-      Timing.instrs !t,
-      !t.Timing.stall_cycles,
-      Array.to_list !t.Timing.issue_histogram )
-  in
-  let reference = run_with [] in
-  List.iter
-    (fun cuts ->
-      if run_with cuts <> reference then
-        Alcotest.failf "cut at %s: split run differs from unsplit run"
-          (String.concat "," (List.map string_of_int cuts)))
-    [ [ 1 ]; [ 7 ]; [ 23 ]; [ 3; 9; 15 ]; List.init 24 Fun.id ]
-
-let test_snapshot_is_independent () =
-  (* the snapshot is a copy: mutating the live model afterwards must not
-     disturb it, and resuming twice gives identical continuations *)
-  let t = Timing.create Presets.base in
-  List.iter (fun i -> Timing.issue t i (-1)) (chain 3);
-  let snap = Timing.snapshot t in
-  List.iter (fun i -> Timing.issue t i (-1)) (chain 5);
-  let finishes snapshot =
-    let t = Timing.resume snapshot in
-    Timing.finish t;
-    (Timing.minor_cycles t, Timing.instrs t)
-  in
-  let a = finishes snap and b = finishes snap in
-  Alcotest.(check (pair int int)) "two resumes agree" a b;
-  Alcotest.(check int) "snapshot kept the pre-mutation count" 3 (snd a)
-
-let test_cache_restore_rejects_geometry () =
-  let mk ~lines ~penalty =
-    Ilp_sim.Cache.create ~lines ~line_words:1 ~penalty ()
-  in
-  let state = Ilp_sim.Cache.snapshot (mk ~lines:8 ~penalty:5) in
-  Alcotest.(check bool) "geometry mismatch raises" true
-    (match Ilp_sim.Cache.restore (mk ~lines:16 ~penalty:5) state with
-    | exception Invalid_argument _ -> true
-    | () -> false);
-  Alcotest.(check bool) "penalty mismatch raises" true
-    (match Ilp_sim.Cache.restore (mk ~lines:8 ~penalty:7) state with
-    | exception Invalid_argument _ -> true
-    | () -> false);
-  Alcotest.(check bool) "matching geometry restores" true
-    (match Ilp_sim.Cache.restore (mk ~lines:8 ~penalty:5) state with
-    | () -> true
-    | exception Invalid_argument _ -> false)
-
 (* --- the cycle-stepped reference oracle ------------------------------ *)
 
 (* Random decoded streams over a small register file, timed against
@@ -415,9 +340,11 @@ let flat_of_stream (stream : Timing_ref.instr array) =
   (code, visits, addresses)
 
 (* Both ways into the shared issue step must match the reference: one
-   [issue_decoded] call per instruction, and the flat replay loop
-   advanced one instruction at a time, so that every cut — inside a
-   segment and between segments — is exercised too. *)
+   [issue_decoded] call per instruction, and the flat replay loop over
+   the whole stream.  In-order issue is causal, so an instruction issues
+   in the same cycle whatever follows it: the flat loop's issue cycles
+   are read by replaying each prefix of the stream into a fresh model,
+   and its final counters from the whole stream. *)
 let prop_matches_reference =
   QCheck2.Test.make ~count:500 ~name:"matches cycle-stepped reference"
     ~print:print_oracle_case
@@ -428,7 +355,8 @@ let prop_matches_reference =
       let expected =
         Timing_ref.run ?cache ~registers:oracle_registers config stream
       in
-      let check_path path drive =
+      (* a fresh model, with its own fresh cache *)
+      let fresh () =
         let timing_cache =
           Option.map
             (fun c ->
@@ -437,10 +365,10 @@ let prop_matches_reference =
                 ~penalty:c.Timing_ref.penalty ())
             cache
         in
-        let t =
-          Timing.create ?cache:timing_cache ~registers:oracle_registers config
-        in
-        let issue_cycles = drive t in
+        ( Timing.create ?cache:timing_cache ~registers:oracle_registers config,
+          timing_cache )
+      in
+      let check_path path issue_cycles (t, timing_cache) =
         let open_minor_cycles = Timing.minor_cycles t in
         Timing.finish t;
         let accesses, misses =
@@ -467,41 +395,34 @@ let prop_matches_reference =
         check "cache accesses" string_of_int accesses expected.R.accesses;
         check "cache misses" string_of_int misses expected.R.misses
       in
-      check_path "issue_decoded" (fun t ->
-          Array.map
-            (fun (i : Timing_ref.instr) ->
-              Timing.issue_decoded t ~cls:i.Timing_ref.cls
-                ~is_load:i.Timing_ref.is_load ~defs:i.Timing_ref.defs
-                ~uses:i.Timing_ref.uses i.Timing_ref.addr;
-              t.Timing.now)
-            stream);
-      check_path "replay_flat" (fun t ->
-          let code, visits, addresses = flat_of_stream stream in
-          let walk =
-            { Timing.fw_visit = 0; fw_offset = 0; fw_abase = 0; fw_steps = 0 }
-          in
-          let cycles =
-            Array.map
-              (fun _ ->
-                Timing.replay_flat t code visits addresses walk ~max_steps:1;
-                t.Timing.now)
-              stream
-          in
-          if
-            walk.Timing.fw_steps <> Array.length stream
-            || walk.Timing.fw_visit <> Bigarray.Array1.dim visits
-          then QCheck2.Test.fail_reportf "replay_flat: walk did not finish";
-          cycles);
+      (let ((t, _) as model) = fresh () in
+       let issue_cycles =
+         Array.map
+           (fun (i : Timing_ref.instr) ->
+             Timing.issue_decoded t ~cls:i.Timing_ref.cls
+               ~is_load:i.Timing_ref.is_load ~defs:i.Timing_ref.defs
+               ~uses:i.Timing_ref.uses i.Timing_ref.addr;
+             t.Timing.now)
+           stream
+       in
+       check_path "issue_decoded" issue_cycles model);
+      (let replay t prefix =
+         let code, visits, addresses = flat_of_stream prefix in
+         Timing.replay_flat t code visits addresses
+       in
+       let issue_cycles =
+         Array.init (Array.length stream) (fun k ->
+             let t, _ = fresh () in
+             replay t (Array.sub stream 0 (k + 1));
+             t.Timing.now)
+       in
+       let ((t, _) as model) = fresh () in
+       replay t stream;
+       check_path "replay_flat" issue_cycles model);
       true)
 
 let tests =
   [ Alcotest.test_case "base throughput" `Quick test_base_throughput;
-    Alcotest.test_case "snapshot/resume round-trip" `Quick
-      test_snapshot_resume_roundtrip;
-    Alcotest.test_case "snapshot independence" `Quick
-      test_snapshot_is_independent;
-    Alcotest.test_case "cache restore geometry" `Quick
-      test_cache_restore_rejects_geometry;
     Alcotest.test_case "scoreboard size" `Quick test_scoreboard_size;
     Alcotest.test_case "histogram vs cache stalls" `Quick
       test_histogram_accounts_cache_stalls;
