@@ -13,12 +13,14 @@ let machine_of_string s =
   match Ilp_machine.Presets.by_name s with
   | Some config -> Ok config
   | None -> (
-      (* superscalar-N / superpipelined-M / sps-NxM *)
+      (* superscalar-N / superpipelined-M *)
       let try_prefix prefix make =
         let plen = String.length prefix in
         if String.length s > plen && String.sub s 0 plen = prefix then
           int_of_string_opt (String.sub s plen (String.length s - plen))
-          |> Option.map make
+          |> Option.map (fun n ->
+                 (* Config.make rejects a width or degree below 1 *)
+                 try Ok (make n) with Invalid_argument msg -> Error msg)
         else None
       in
       let candidates =
@@ -26,7 +28,9 @@ let machine_of_string s =
           try_prefix "superpipelined-" Ilp_machine.Presets.superpipelined ]
       in
       match List.find_opt Option.is_some candidates with
-      | Some (Some config) -> Ok config
+      | Some (Some (Ok config)) -> Ok config
+      | Some (Some (Error msg)) ->
+          Error (`Msg (Printf.sprintf "invalid machine %s: %s" s msg))
       | _ ->
           Error
             (`Msg

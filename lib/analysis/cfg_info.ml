@@ -51,6 +51,19 @@ let build (f : Func.t) =
 
 let n_blocks t = Array.length t.blocks
 
+let positions t =
+  let first = Array.make (n_blocks t + 1) 0 in
+  Array.iteri
+    (fun b (blk : Block.t) ->
+      first.(b + 1) <- first.(b) + List.length blk.Block.instrs)
+    t.blocks;
+  let instrs =
+    Array.of_list
+      (List.concat_map (fun (b : Block.t) -> b.Block.instrs)
+         (Array.to_list t.blocks))
+  in
+  (first, instrs)
+
 let reachable t i = Array.exists (fun j -> j = i) t.rpo
 
 (* Rebuild the function from (possibly rewritten) blocks. *)

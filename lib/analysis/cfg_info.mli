@@ -15,6 +15,12 @@ type t = {
 
 val build : Func.t -> t
 val n_blocks : t -> int
+
+val positions : t -> int array * Instr.t array
+(** Every instruction of the function numbered by position, blocks in
+    layout order: [(first, instrs)] where [first.(b)] is the position of
+    block [b]'s first instruction and [first.(n_blocks t)] the count. *)
+
 val reachable : t -> int -> bool
 
 val to_func : t -> Block.t array -> Func.t

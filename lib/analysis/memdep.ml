@@ -39,7 +39,19 @@
    the scheduler never removes, and a load's value number is killed by
    any store not provably to a different word — so a [No_alias] verdict
    established on the original instruction order remains valid in any
-   DDG-respecting permutation of the block. *)
+   DDG-respecting permutation of the block.
+
+   Each tier runs when a verdict first needs it and never otherwise:
+   [analyze] only records the function; the first classified pair
+   numbers it and solves tier 1, a block's first classified pair
+   evaluates that block, and the first address difference that does not
+   fold to a constant (with ranges on) solves the value ranges.  The
+   state is dense throughout: registers are numbered once per function,
+   as [Exec.resolve] numbers a frame, instructions by position, and
+   tier 1 keeps each environment in one [int] array.
+
+   [test/memdep_ref.ml] keeps the eager analysis this replaced, and a
+   property requires the two to agree on every same-block pair. *)
 
 open Ilp_ir
 
@@ -61,164 +73,247 @@ let conservative (i : Instr.t) (j : Instr.t) =
   if Mem_info.disjoint (mem_of i) (mem_of j) then No_alias else May_alias
 
 (* ------------------------------------------------------------------ *)
-(* Tier 1: interprocedural-block value tracking ("Addr_val").          *)
+(* The function, numbered once.                                        *)
+
+module Regtable = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash x = x land max_int
+end)
+
+type code = {
+  first : int array;
+      (** position of each block's first instruction, then the count *)
+  instrs : Instr.t array;  (** every instruction, by position *)
+  regs : int;  (** registers are numbered [0, regs) *)
+  number : Reg.t -> int;
+  dst : int array;  (** destination register, or -1 *)
+}
+
+(* The stack pointer and the return-value register are numbered first,
+   whether or not an instruction names them; every other register in
+   order of first appearance. *)
+let sp = 0
+let ret = 1
+
+let number (cfg : Cfg_info.t) =
+  let table = Regtable.create 64 in
+  let reg r =
+    let k = Reg.index r in
+    match Regtable.find_opt table k with
+    | Some v -> v
+    | None ->
+        let v = Regtable.length table in
+        Regtable.add table k v;
+        v
+  in
+  ignore (reg Reg.sp);
+  ignore (reg Instr.ret_reg);
+  let first, instrs = Cfg_info.positions cfg in
+  let dst =
+    Array.map
+      (fun (i : Instr.t) ->
+        List.iter
+          (function Instr.Oreg r -> ignore (reg r) | Oimm _ | Ofimm _ -> ())
+          i.Instr.srcs;
+        match i.Instr.dst with Some d -> reg d | None -> -1)
+      instrs
+  in
+  {
+    first;
+    instrs;
+    regs = Regtable.length table;
+    number = (fun r -> Regtable.find table (Reg.index r));
+    dst;
+  }
+
+(* ------------------------------------------------------------------ *)
+(* Tier 1: function-wide value tracking ("Addr_val").                  *)
 
 (* Intervals wider than this are dropped at joins and shifts: past a few
    unroll copies apart, a wide interval proves nothing and only delays
    the fixpoint. *)
 let width_cap = 16
 
-module Av = struct
-  type base =
-    | Abs  (** an absolute constant *)
-    | Init of int  (** the value register [index] held at function entry *)
-    | Def of int  (** the most recent result of instruction [id] *)
+(* Register [r]'s fact is the three ints at [3r]: a base, then the
+   offset interval [lo, hi].  The base is [unknown] (no fact, offsets
+   0), [absolute] (an absolute constant), [r'] for the value register
+   [r'] held at function entry, or [regs + g] for the most recent result
+   of the instruction at position [g]. *)
+let unknown = -2
+let absolute = -1
 
-  type t = { base : base; lo : int; hi : int }
+let clear e r =
+  e.(3 * r) <- unknown;
+  e.((3 * r) + 1) <- 0;
+  e.((3 * r) + 2) <- 0
 
-  let equal a b = a.base = b.base && a.lo = b.lo && a.hi = b.hi
+let put e r base lo hi =
+  e.(3 * r) <- base;
+  e.((3 * r) + 1) <- lo;
+  e.((3 * r) + 2) <- hi
 
-  let pp_base ppf = function
-    | Abs -> ()
-    | Init r -> Fmt.pf ppf "%a@entry" Reg.pp (Reg.of_index r)
-    | Def id -> Fmt.pf ppf "#%d" id
-
-  let pp ppf { base; lo; hi } =
-    if lo = hi then Fmt.pf ppf "%a%+d" pp_base base lo
-    else Fmt.pf ppf "%a+[%d,%d]" pp_base base lo hi
-end
-
-module IntMap = Map.Make (Int)
-
-module Lattice = struct
+module Addr_env = struct
   (* [Univ] is the value of paths not yet seen (the join identity of a
-     must-analysis); a map entry is a proven fact, an absent key is
-     "unknown". *)
-  type t = Univ | Env of Av.t IntMap.t
+     must-analysis). *)
+  type t = Univ | Env of int array
 
   let equal a b =
     match (a, b) with
     | Univ, Univ -> true
-    | Env m1, Env m2 -> IntMap.equal Av.equal m1 m2
+    | Env x, Env y ->
+        let rec same k = k < 0 || (Int.equal x.(k) y.(k) && same (k - 1)) in
+        same (Array.length x - 1)
     | Univ, Env _ | Env _, Univ -> false
 
   let join a b =
     match (a, b) with
     | Univ, v | v, Univ -> v
-    | Env m1, Env m2 ->
-        Env
-          (IntMap.merge
-             (fun _ a b ->
-               match (a, b) with
-               | Some (a : Av.t), Some (b : Av.t) when a.base = b.base ->
-                   let lo = min a.lo b.lo and hi = max a.hi b.hi in
-                   if hi - lo <= width_cap then Some { a with lo; hi }
-                   else None
-               | _ -> None)
-             m1 m2)
+    | Env x, Env y ->
+        let z = Array.make (Array.length x) 0 in
+        for r = 0 to (Array.length x / 3) - 1 do
+          let base = x.(3 * r) in
+          let lo = min x.((3 * r) + 1) y.((3 * r) + 1)
+          and hi = max x.((3 * r) + 2) y.((3 * r) + 2) in
+          if base <> unknown && base = y.(3 * r) && hi - lo <= width_cap then
+            put z r base lo hi
+          else clear z r
+        done;
+        Env z
 
   let pp ppf = function
     | Univ -> Fmt.string ppf "<univ>"
-    | Env m ->
-        Fmt.pf ppf "{%a}"
-          (Fmt.iter_bindings ~sep:Fmt.comma IntMap.iter (fun ppf (k, v) ->
-               Fmt.pf ppf "%a=%a" Reg.pp (Reg.of_index k) Av.pp v))
-          m
+    | Env _ -> Fmt.string ppf "<addr-env>"
 end
 
-module Transfer = struct
-  module L = Lattice
+(* What an instruction does to tier 1's environment. *)
+type effect =
+  | Keep  (** writes no register *)
+  | Clobber  (** a call: everything but the stack pointer is lost *)
+  | Const of int  (** [li d, n] *)
+  | Copy of int  (** [mov d, s] *)
+  | Shift of int * int  (** [add d, s, k] or [sub d, s, -k] *)
+  | Sum of bool * int * int  (** [add/sub d, s1, s2]; [true] for sub *)
+  | Fresh  (** any other result, which becomes its own base *)
 
-  type ctx = Cfg_info.t
+let effect code g =
+  let i = code.instrs.(g) in
+  if Instr.is_call i then Clobber
+  else if code.dst.(g) < 0 then Keep
+  else
+    let reg = code.number in
+    match (i.Instr.op, i.Instr.srcs) with
+    | Opcode.Li, [ Instr.Oimm n ] -> Const n
+    | Opcode.Mov, [ Instr.Oreg s ] -> Copy (reg s)
+    | Opcode.Add, [ Instr.Oreg s; Instr.Oimm n ] -> Shift (reg s, n)
+    | Opcode.Sub, [ Instr.Oreg s; Instr.Oimm n ] -> Shift (reg s, -n)
+    | Opcode.Add, [ Instr.Oreg s1; Instr.Oreg s2 ] ->
+        Sum (false, reg s1, reg s2)
+    | Opcode.Sub, [ Instr.Oreg s1; Instr.Oreg s2 ] ->
+        Sum (true, reg s1, reg s2)
+    | _ -> Fresh
 
-  let prepare cfg = cfg
-  let init _ = Lattice.Univ
+(* [d = s + [dlo, dhi]] when that is narrow enough, else [d]'s own
+   base [own]. *)
+let shifted e d own s dlo dhi =
+  let lo = e.((3 * s) + 1) + dlo and hi = e.((3 * s) + 2) + dhi in
+  if hi - lo <= width_cap then put e d e.(3 * s) lo hi else put e d own 0 0
 
-  (* Every register enters the function holding its (unknown but fixed)
-     entry value; copies of one entry value disambiguate against each
-     other across blocks. *)
-  let boundary (cfg : Cfg_info.t) =
-    let m = ref IntMap.empty in
-    List.iter
-      (fun (b : Block.t) ->
-        List.iter
-          (fun (i : Instr.t) ->
-            List.iter
-              (fun r ->
-                let k = Reg.index r in
-                m :=
-                  IntMap.add k
-                    { Av.base = Av.Init k; lo = 0; hi = 0 }
-                    !m)
-              (Instr.uses i @ Instr.defs i))
-          b.Block.instrs)
-      cfg.Cfg_info.func.Func.blocks;
-    Lattice.Env !m
+(* Forget the registers among [holders.(g)] that still hold [own], the
+   previous result of the instruction at position [g]. *)
+let stale e holders own g =
+  List.iter (fun r -> if e.(3 * r) = own then clear e r) holders.(g);
+  holders.(g) <- []
 
-  let shifted (v : Av.t) lo hi =
-    let lo' = v.lo + lo and hi' = v.hi + hi in
-    if hi' - lo' <= width_cap then Some { v with lo = lo'; hi = hi' }
-    else None
+(* Push block [b] through a copy of [a].  An instruction re-executing
+   makes references to its previous result stale; [holders.(g)] lists
+   the registers that may hold the result of the instruction at
+   position [g] of this block (noted at entry and whenever a copy or
+   shift moves a base), so that filter touches only those. *)
+let tier1_block code effects holders b a =
+  let e = Array.copy a in
+  let regs = code.regs and lo = code.first.(b) and hi = code.first.(b + 1) in
+  let note r =
+    let g = e.(3 * r) - regs in
+    if g >= lo && g < hi then holders.(g) <- r :: holders.(g)
+  in
+  Array.fill holders lo (hi - lo) [];
+  for r = 0 to regs - 1 do
+    note r
+  done;
+  for g = lo to hi - 1 do
+    let own = regs + g and d = code.dst.(g) in
+    stale e holders own g;
+    match effects.(g) with
+    | Keep -> ()
+    | Clobber ->
+        (* the callee may clobber anything but restores the stack
+           pointer *)
+        for r = 0 to regs - 1 do
+          if r <> sp then clear e r
+        done;
+        put e ret own 0 0
+    | Fresh -> put e d own 0 0
+    | Const n -> put e d absolute n n
+    | Copy s ->
+        if e.(3 * s) = unknown then put e d own 0 0
+        else put e d e.(3 * s) e.((3 * s) + 1) e.((3 * s) + 2);
+        note d
+    | Shift (s, n) ->
+        if e.(3 * s) = unknown then put e d own 0 0
+        else shifted e d own s n n;
+        note d
+    | Sum (sub, s1, s2) ->
+        let b1 = e.(3 * s1) and b2 = e.(3 * s2) in
+        if b1 = unknown then put e d own 0 0
+        else if b2 = absolute then
+          let lo2 = e.((3 * s2) + 1) and hi2 = e.((3 * s2) + 2) in
+          if sub then shifted e d own s1 (-hi2) (-lo2)
+          else shifted e d own s1 lo2 hi2
+        else if b1 = absolute && b2 <> unknown && not sub then
+          shifted e d own s2 e.((3 * s1) + 1) e.((3 * s1) + 2)
+        else put e d own 0 0;
+        note d
+  done;
+  e
 
-  let step m (i : Instr.t) =
-    (* references to instruction [i]'s previous result go stale the
-       moment it executes again *)
-    let m =
-      IntMap.filter (fun _ (v : Av.t) -> v.base <> Av.Def i.Instr.id) m
-    in
-    let find r = IntMap.find_opt (Reg.index r) m in
-    let set r v m = IntMap.add (Reg.index r) v m in
-    let own_def () = { Av.base = Av.Def i.Instr.id; lo = 0; hi = 0 } in
-    if Instr.is_call i then
-      (* the callee may clobber anything but restores the stack
-         pointer *)
-      let m = IntMap.filter (fun k _ -> k = Reg.index Reg.sp) m in
-      set Instr.ret_reg (own_def ()) m
-    else
-      match (i.Instr.op, i.Instr.dst, i.Instr.srcs) with
-      | Opcode.Li, Some d, [ Instr.Oimm n ] ->
-          set d { Av.base = Av.Abs; lo = n; hi = n } m
-      | Opcode.Mov, Some d, [ Instr.Oreg s ] -> (
-          match find s with
-          | Some v -> set d v m
-          | None -> set d (own_def ()) m)
-      | (Opcode.Add | Opcode.Sub), Some d, [ Instr.Oreg s1; op2 ] ->
-          let sub = i.Instr.op = Opcode.Sub in
-          let v =
-            match (find s1, op2) with
-            | Some v1, Instr.Oimm n ->
-                if sub then shifted v1 (-n) (-n) else shifted v1 n n
-            | Some v1, Instr.Oreg s2 -> (
-                match (v1, find s2) with
-                | v1, Some { Av.base = Av.Abs; lo; hi } ->
-                    if sub then shifted v1 (-hi) (-lo) else shifted v1 lo hi
-                | { Av.base = Av.Abs; lo; hi; _ }, Some v2 when not sub ->
-                    shifted v2 lo hi
-                | _ -> None)
-            | None, _ -> None
-            | Some _, Instr.Ofimm _ -> None
-          in
-          set d (Option.value v ~default:(own_def ())) m
-      | _, Some d, _ -> set d (own_def ()) m
-      | _, None, _ -> m
+(* The environment at each block's entry. *)
+let tier1 code (cfg : Cfg_info.t) =
+  let effects = Array.init (Array.length code.instrs) (effect code) in
+  let holders = Array.make (Array.length code.instrs) [] in
+  let module T = struct
+    module L = Addr_env
 
-  let transfer (cfg : ctx) bi v =
-    match v with
-    | Lattice.Univ -> Lattice.Univ
-    | Lattice.Env m ->
-        Lattice.Env
-          (List.fold_left step m cfg.Cfg_info.blocks.(bi).Block.instrs)
-end
+    type ctx = unit
 
-module Solver = Dataflow.Forward (Transfer)
+    let prepare _ = ()
+    let init () = Addr_env.Univ
+
+    (* Every register enters the function holding its (unknown but
+       fixed) entry value; copies of one entry value disambiguate
+       against each other across blocks. *)
+    let boundary () =
+      let e = Array.make (3 * code.regs) 0 in
+      for r = 0 to code.regs - 1 do
+        put e r r 0 0
+      done;
+      Addr_env.Env e
+
+    let transfer () b = function
+      | Addr_env.Univ -> Addr_env.Univ
+      | Addr_env.Env a -> Addr_env.Env (tier1_block code effects holders b a)
+  end in
+  let module Solver = Dataflow.Forward (T) in
+  (Solver.solve cfg).Dataflow.inb
 
 (* ------------------------------------------------------------------ *)
 (* Tier 2: per-block symbolic addresses as linear combinations of      *)
 (* hash-consed terms.                                                  *)
 
 type tnode =
-  | TInit of int  (** register [index]'s value at function entry *)
-  | TPre of int  (** instruction [id]'s last result before block entry *)
+  | TInit of int  (** register [r]'s value at function entry *)
+  | TPre of int  (** the last result, before block entry, of position [g] *)
   | TOpaque of int  (** a fresh unknown, fixed at its creation *)
   | TApp of Opcode.t * int list
       (** deterministic integer operator over term ids *)
@@ -285,32 +380,36 @@ let embed st l =
   | [ (t, 1) ], 0 -> t
   | coeffs, off -> intern st (TLin (coeffs, off))
 
-(* Symbolically execute one straight-line block.  [seed] pre-populates
-   the register environment from tier-1 facts; any other register read
-   lazily binds a fresh opaque (memoized through the environment, so
-   re-reads agree and redefinitions forget it).  Returns the symbolic
-   address of every memory instruction, keyed by instruction id. *)
-let exec_block st ~seed instrs =
-  let env : (int, lin) Hashtbl.t = Hashtbl.create 64 in
+(* The environment's "not yet read" mark: no arithmetic result is
+   structurally equal to it (canonical coefficients are never 0), so the
+   compiler cannot share it with a constant the evaluation builds. *)
+let unbound = { coeffs = [ (-1, 0) ]; off = 0 }
+
+(* Symbolically execute block [b] into its own term store.  [seed]
+   pre-populates the register environment from tier-1 facts; any other
+   register read lazily binds a fresh opaque (memoized through the
+   environment, so re-reads agree and redefinitions forget it).  Returns
+   the symbolic address of every memory instruction, keyed by
+   instruction id. *)
+let exec_block code st ~seed b =
+  let env = Array.make code.regs unbound in
   seed env;
   (* value-numbered memory: embedded address term -> (address, value) *)
   let memenv : (int, lin * lin) Hashtbl.t = Hashtbl.create 16 in
   let addrs : (int, lin) Hashtbl.t = Hashtbl.create 16 in
   let read_reg r =
-    let k = Reg.index r in
-    match Hashtbl.find_opt env k with
-    | Some v -> v
-    | None ->
-        let v = lterm (opaque st) in
-        Hashtbl.replace env k v;
-        v
+    let v = env.(r) in
+    if v != unbound then v
+    else
+      let v = lterm (opaque st) in
+      env.(r) <- v;
+      v
   in
   let operand = function
-    | Instr.Oreg r -> read_reg r
+    | Instr.Oreg r -> read_reg (code.number r)
     | Instr.Oimm n -> lconst n
     | Instr.Ofimm _ -> lterm (opaque st)
   in
-  let set d v = Hashtbl.replace env (Reg.index d) v in
   let node op args =
     let args = List.map (embed st) args in
     let args =
@@ -318,77 +417,71 @@ let exec_block st ~seed instrs =
     in
     lterm (intern st (TApp (op, args)))
   in
-  List.iter
-    (fun (i : Instr.t) ->
-      if Instr.is_call i then begin
-        (* the callee may read and write any register except the
-           restored stack pointer, and any memory word *)
-        let sp_v = read_reg Reg.sp in
-        Hashtbl.reset env;
-        Hashtbl.replace env (Reg.index Reg.sp) sp_v;
-        Hashtbl.reset memenv;
-        set Instr.ret_reg (lterm (opaque st))
-      end
-      else
-        match (i.Instr.op, i.Instr.srcs) with
-        | Opcode.Ld, [ base ] ->
-            let addr = ladd (operand base) (lconst i.Instr.offset) in
-            Hashtbl.replace addrs i.Instr.id addr;
-            let key = embed st addr in
-            let v =
-              match Hashtbl.find_opt memenv key with
-              | Some (_, v) -> v
-              | None ->
-                  let v = lterm (opaque st) in
-                  Hashtbl.replace memenv key (addr, v);
-                  v
-            in
-            Option.iter (fun d -> set d v) i.Instr.dst
-        | Opcode.St, [ value; base ] ->
-            let v = operand value in
-            let addr = ladd (operand base) (lconst i.Instr.offset) in
-            Hashtbl.replace addrs i.Instr.id addr;
-            (* provably different words survive, the same word is
-               forwarded, everything else is killed *)
-            let keep =
-              Hashtbl.fold
-                (fun k ((ka, _) as e) acc ->
-                  let d = lsub addr ka in
-                  if d.coeffs = [] && d.off <> 0 then (k, e) :: acc else acc)
-                memenv []
-            in
-            Hashtbl.reset memenv;
-            List.iter (fun (k, e) -> Hashtbl.replace memenv k e) keep;
-            Hashtbl.replace memenv (embed st addr) (addr, v)
-        | op, srcs -> (
-            match i.Instr.dst with
-            | None -> ()  (* branches and the like only read registers *)
-            | Some d ->
-                let v =
-                  match (op, srcs) with
-                  | Opcode.Li, [ Instr.Oimm n ] -> lconst n
-                  | Opcode.Mov, [ s ] -> operand s
-                  | Opcode.Add, [ a; b ] -> ladd (operand a) (operand b)
-                  | Opcode.Sub, [ a; b ] -> lsub (operand a) (operand b)
-                  | Opcode.Neg, [ a ] -> lscale (-1) (operand a)
-                  | Opcode.Mul, [ a; b ] ->
-                      let va = operand a and vb = operand b in
-                      if va.coeffs = [] then lscale va.off vb
-                      else if vb.coeffs = [] then lscale vb.off va
-                      else node Opcode.Mul [ va; vb ]
-                  | ( ( Opcode.And | Opcode.Or | Opcode.Xor | Opcode.Not
-                      | Opcode.Shl | Opcode.Shr | Opcode.Sra | Opcode.Slt
-                      | Opcode.Sle | Opcode.Seq | Opcode.Sne ),
-                      args ) ->
-                      (* pure deterministic integer functions: identical
-                         applications yield identical values *)
-                      node op (List.map operand args)
-                  | _ ->
-                      (* Div/Rem, floating point, conversions: opaque *)
-                      lterm (opaque st)
-                in
-                set d v))
-    instrs;
+  for g = code.first.(b) to code.first.(b + 1) - 1 do
+    let i = code.instrs.(g) in
+    if Instr.is_call i then begin
+      (* the callee may read and write any register except the
+         restored stack pointer, and any memory word *)
+      let sp_v = read_reg sp in
+      Array.fill env 0 code.regs unbound;
+      env.(sp) <- sp_v;
+      Hashtbl.reset memenv;
+      env.(ret) <- lterm (opaque st)
+    end
+    else
+      match (i.Instr.op, i.Instr.srcs) with
+      | Opcode.Ld, [ base ] ->
+          let addr = ladd (operand base) (lconst i.Instr.offset) in
+          Hashtbl.replace addrs i.Instr.id addr;
+          let key = embed st addr in
+          let v =
+            match Hashtbl.find_opt memenv key with
+            | Some (_, v) -> v
+            | None ->
+                let v = lterm (opaque st) in
+                Hashtbl.replace memenv key (addr, v);
+                v
+          in
+          if code.dst.(g) >= 0 then env.(code.dst.(g)) <- v
+      | Opcode.St, [ value; base ] ->
+          let v = operand value in
+          let addr = ladd (operand base) (lconst i.Instr.offset) in
+          Hashtbl.replace addrs i.Instr.id addr;
+          (* provably different words survive, the same word is
+             forwarded, everything else is killed *)
+          Hashtbl.filter_map_inplace
+            (fun _ ((ka, _) as e) ->
+              let d = lsub addr ka in
+              if d.coeffs = [] && d.off <> 0 then Some e else None)
+            memenv;
+          Hashtbl.replace memenv (embed st addr) (addr, v)
+      | op, srcs ->
+          let d = code.dst.(g) in
+          (* branches and the like only read registers *)
+          if d >= 0 then
+            env.(d) <-
+              (match (op, srcs) with
+              | Opcode.Li, [ Instr.Oimm n ] -> lconst n
+              | Opcode.Mov, [ s ] -> operand s
+              | Opcode.Add, [ a; b ] -> ladd (operand a) (operand b)
+              | Opcode.Sub, [ a; b ] -> lsub (operand a) (operand b)
+              | Opcode.Neg, [ a ] -> lscale (-1) (operand a)
+              | Opcode.Mul, [ a; b ] ->
+                  let va = operand a and vb = operand b in
+                  if va.coeffs = [] then lscale va.off vb
+                  else if vb.coeffs = [] then lscale vb.off va
+                  else node Opcode.Mul [ va; vb ]
+              | ( ( Opcode.And | Opcode.Or | Opcode.Xor | Opcode.Not
+                  | Opcode.Shl | Opcode.Shr | Opcode.Sra | Opcode.Slt
+                  | Opcode.Sle | Opcode.Seq | Opcode.Sne ),
+                  args ) ->
+                  (* pure deterministic integer functions: identical
+                     applications yield identical values *)
+                  node op (List.map operand args)
+              | _ ->
+                  (* Div/Rem, floating point, conversions: opaque *)
+                  lterm (opaque st))
+  done;
   addrs
 
 (* ------------------------------------------------------------------ *)
@@ -409,29 +502,26 @@ let exec_block st ~seed instrs =
    of any single execution; if zero is excluded, the two accesses can
    never coincide. *)
 
-type rangectx = {
-  rstore : store;
-  def_range : (int, Range.V.t) Hashtbl.t;
-      (** instruction id -> range of its result over all executions *)
-  init_range : int -> Range.V.t;  (** register index -> entry range *)
-  memo : (int, Range.V.t) Hashtbl.t;
+(* One block's tier-2 result, with the ranges of its terms as far as a
+   verdict has needed them. *)
+type block = {
+  st : store;
+  addrs : (int, lin) Hashtbl.t;
+  memo : (int, Range.V.t) Hashtbl.t;  (** term id -> range *)
 }
 
-let rec term_range ctx tid =
-  match Hashtbl.find_opt ctx.memo tid with
+let rec term_range ranges blk tid =
+  match Hashtbl.find_opt blk.memo tid with
   | Some v -> v
   | None ->
-      Hashtbl.replace ctx.memo tid Range.V.top;
+      Hashtbl.replace blk.memo tid Range.V.top;
       let v =
-        match Hashtbl.find_opt ctx.rstore.rev tid with
+        match Hashtbl.find_opt blk.st.rev tid with
         | None | Some (TOpaque _) -> Range.V.top
-        | Some (TInit r) -> ctx.init_range r
-        | Some (TPre id) ->
-            Option.value
-              (Hashtbl.find_opt ctx.def_range id)
-              ~default:Range.V.top
+        | Some (TInit r) -> Range.Ir.entry_range ranges r
+        | Some (TPre g) -> Range.Ir.def_range ranges g
         | Some (TApp (op, args)) -> (
-            let rs = List.map (term_range ctx) args in
+            let rs = List.map (term_range ranges blk) args in
             match (op, rs) with
             | Opcode.And, [ a; b ] -> Range.V.band a b
             | Opcode.Or, [ a; b ] -> Range.V.bor a b
@@ -443,110 +533,108 @@ let rec term_range ctx tid =
             | (Opcode.Slt | Opcode.Sle | Opcode.Seq | Opcode.Sne), _ ->
                 Range.V.bool_result
             | _ -> Range.V.top)
-        | Some (TLin (coeffs, off)) -> lin_range_parts ctx coeffs off
+        | Some (TLin (coeffs, off)) -> lin_range ranges blk coeffs off
       in
-      Hashtbl.replace ctx.memo tid v;
+      Hashtbl.replace blk.memo tid v;
       v
 
-and lin_range_parts ctx coeffs off =
+and lin_range ranges blk coeffs off =
   List.fold_left
     (fun acc (t, c) ->
-      Range.V.add acc (Range.V.mul (Range.V.of_const c) (term_range ctx t)))
+      Range.V.add acc
+        (Range.V.mul (Range.V.of_const c) (term_range ranges blk t)))
     (Range.V.of_const off) coeffs
 
-let lin_range ctx (l : lin) = lin_range_parts ctx l.coeffs l.off
-
-let classify_with ?sharpen addrs (i : Instr.t) (j : Instr.t) =
+(* [ranges] is forced only for a difference that does not fold. *)
+let classify_in ?ranges blk (i : Instr.t) (j : Instr.t) =
   match
-    (Hashtbl.find_opt addrs i.Instr.id, Hashtbl.find_opt addrs j.Instr.id)
+    ( Hashtbl.find_opt blk.addrs i.Instr.id,
+      Hashtbl.find_opt blk.addrs j.Instr.id )
   with
   | Some a, Some b -> (
       let d = lsub a b in
       if d.coeffs = [] then if d.off = 0 then Must_alias else No_alias
       else
-        match sharpen with
-        | Some ctx when Range.V.excludes_zero (lin_range ctx d) -> No_alias
+        match ranges with
+        | Some r
+          when Range.V.excludes_zero
+                 (lin_range (Lazy.force r) blk d.coeffs d.off) ->
+            No_alias
         | _ -> conservative i j)
   | _ -> conservative i j
 
 (* ------------------------------------------------------------------ *)
-(* Per-function analysis.                                              *)
+(* Per-function analysis, on demand.                                   *)
 
-type t = {
-  by_label : (string, (int, lin) Hashtbl.t) Hashtbl.t;
-  sharpen : rangectx option;
+type facts = {
+  cfg : Cfg_info.t;
+  blocks : block Lazy.t array;  (** tier 2, per block *)
+  ranges : Range.Ir.t Lazy.t option;  (** tier 3, when enabled *)
 }
 
-let range_ctx st (f : Func.t) =
-  let ir = Range.Ir.analyze f in
-  let def_range = Hashtbl.create 64 in
-  List.iter
-    (fun (b : Block.t) ->
-      let env = ref (Range.Ir.block_entry ir b.Block.label) in
-      if not (Range.Ir.is_unreachable !env) then
-        List.iter
-          (fun (i : Instr.t) ->
-            let env' = Range.Ir.step !env i in
-            Option.iter
-              (fun d ->
-                Hashtbl.replace def_range i.Instr.id (Range.Ir.reg env' d))
-              i.Instr.dst;
-            env := env')
-          b.Block.instrs)
-    f.Func.blocks;
-  let entry_env =
-    match f.Func.blocks with
-    | b :: _ -> Range.Ir.block_entry ir b.Block.label
-    | [] -> Range.Ir.unreachable
-  in
-  let init_range k =
-    if Range.Ir.is_unreachable entry_env then Range.V.top
-    else Range.Ir.reg entry_env (Reg.of_index k)
-  in
-  { rstore = st; def_range; init_range; memo = Hashtbl.create 64 }
+type t = facts Lazy.t
 
-let analyze ?(ranges = true) (f : Func.t) =
+let function_facts ~ranges (f : Func.t) =
   let cfg = Cfg_info.build f in
-  let sol = Solver.solve cfg in
-  let st = new_store () in
-  let by_label = Hashtbl.create (Array.length cfg.Cfg_info.blocks) in
-  Array.iteri
-    (fun bi (b : Block.t) ->
-      let facts =
-        if Cfg_info.reachable cfg bi then sol.Dataflow.inb.(bi)
-        else Lattice.Univ
-      in
-      let seed env =
-        match facts with
-        | Lattice.Univ -> ()
-        | Lattice.Env m ->
-            IntMap.iter
-              (fun k (v : Av.t) ->
-                if v.lo = v.hi then
-                  let value =
-                    match v.base with
-                    | Av.Abs -> lconst v.lo
-                    | Av.Init r -> ladd (lterm (intern st (TInit r))) (lconst v.lo)
-                    | Av.Def id -> ladd (lterm (intern st (TPre id))) (lconst v.lo)
-                  in
-                  Hashtbl.replace env k value)
-              m
-      in
-      let addrs = exec_block st ~seed b.Block.instrs in
-      Hashtbl.replace by_label (Label.to_string b.Block.label) addrs)
-    cfg.Cfg_info.blocks;
-  { by_label; sharpen = (if ranges then Some (range_ctx st f) else None) }
+  let code = number cfg in
+  let entry = tier1 code cfg in
+  let regs = code.regs in
+  let block b =
+    let st = new_store () in
+    let seed env =
+      match entry.(b) with
+      | Addr_env.Univ -> ()
+      | Addr_env.Env a ->
+          for r = 0 to regs - 1 do
+            let base = a.(3 * r) and lo = a.((3 * r) + 1) in
+            if base <> unknown && lo = a.((3 * r) + 2) then
+              env.(r) <-
+                (if base = absolute then lconst lo
+                 else
+                   let t =
+                     if base < regs then TInit base else TPre (base - regs)
+                   in
+                   ladd (lterm (intern st t)) (lconst lo))
+          done
+    in
+    { st; addrs = exec_block code st ~seed b; memo = Hashtbl.create 16 }
+  in
+  {
+    cfg;
+    blocks =
+      Array.init (Array.length cfg.Cfg_info.blocks) (fun b -> lazy (block b));
+    ranges =
+      (if ranges then
+         Some (lazy (Range.Ir.analyze ~regs ~reg:code.number cfg))
+       else None);
+  }
 
-let classifier t (label : Label.t) =
-  match Hashtbl.find_opt t.by_label (Label.to_string label) with
-  | Some addrs -> classify_with ?sharpen:t.sharpen addrs
-  | None -> conservative
+let analyze ?(ranges = true) (f : Func.t) : t = lazy (function_facts ~ranges f)
+
+let classifier (t : t) (label : Label.t) =
+  let blk =
+    lazy
+      (let facts = Lazy.force t in
+       Hashtbl.find_opt facts.cfg.Cfg_info.index_of (Label.to_string label)
+       |> Option.map (fun b -> (facts.ranges, Lazy.force facts.blocks.(b))))
+  in
+  fun i j ->
+    match Lazy.force blk with
+    | Some (ranges, blk) -> classify_in ?ranges blk i j
+    | None -> conservative i j
 
 (* A block on its own, with no cross-block facts: for tests and callers
    holding an instruction list rather than a function. *)
 let classify_block instrs =
+  let code =
+    number
+      (Cfg_info.build
+         (Func.make ~name:"block" ~frame_size:0 ~n_params:0
+            [ Block.make (Label.of_string "block") instrs ]))
+  in
   let st = new_store () in
-  classify_with (exec_block st ~seed:(fun _ -> ()) instrs)
+  classify_in
+    { st; addrs = exec_block code st ~seed:ignore 0; memo = Hashtbl.create 1 }
 
 (* ------------------------------------------------------------------ *)
 (* Disambiguation statistics (surfaced by [ilp lint]).                 *)

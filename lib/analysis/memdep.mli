@@ -14,9 +14,20 @@
     incompatible strides prove the difference nonzero even when its
     exact value is unknown.
 
+    Each tier runs only when a verdict needs it: {!analyze} computes
+    nothing, the first pair a {!classifier} of the function classifies
+    solves the dataflow (numbering the function's registers once), a
+    block's first classified pair evaluates that block, and the first
+    address difference that does not fold to a constant solves the
+    ranges.  A {!t} therefore holds lazy state: classify with it only
+    on the domain that created it.
+
     A [No_alias] verdict is a proof obligation: {!Ilp_sched.Check_sched}
-    re-derives it for every dependence edge the scheduler dropped, and
-    [Diffcheck] compares per-address store streams dynamically. *)
+    re-derives it, from the original code and independently, for every
+    dependence edge the scheduler dropped that the emitted order
+    actually reverses, and [Diffcheck] compares per-address store
+    streams dynamically.  [test/memdep_ref.ml] keeps the eager
+    analysis as the oracle of a verdict-by-verdict property. *)
 
 open Ilp_ir
 
@@ -30,12 +41,12 @@ val conservative : Instr.t -> Instr.t -> alias
     {!Mem_info.disjoint} proves the annotations apart. *)
 
 type t
-(** Analysis result for one function. *)
+(** Analysis of one function, computed as its verdicts are asked for. *)
 
 val analyze : ?ranges:bool -> Func.t -> t
-(** [ranges] (default [true]) enables the value-range tier; disabling
-    it leaves only the symbolic constant-difference test, for measuring
-    what the ranges buy. *)
+(** Records the function; no tier runs yet.  [ranges] (default [true])
+    enables the value-range tier; disabling it leaves only the symbolic
+    constant-difference test, for measuring what the ranges buy. *)
 
 val classifier : t -> Label.t -> Instr.t -> Instr.t -> alias
 (** [classifier t label] classifies instruction pairs of the block

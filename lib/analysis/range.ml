@@ -595,84 +595,50 @@ end
 module Ir = struct
   open Ilp_ir
 
-  module Key = struct
-    type t =
-      | Kreg of int  (** raw register index (negative = virtual) *)
-      | Kglobal of string  (** named global scalar cell *)
-      | Kslot of string * int  (** stack-slot scalar cell: function, slot *)
+  (* Keys are dense: the caller's register numbers [0, regs), then the
+     function's named global scalars, then its stack-slot scalars.  A
+     key without a fact holds top, as [V.top] itself, so merges skip it
+     without calling into the domain. *)
+  type env = Unreachable | Env of V.t array
 
-    let compare = Stdlib.compare
-  end
+  (* An operand, decoded once: a register key, or the value of a
+     constant (top for a float). *)
+  type operand = Reg of int | Val of V.t
 
-  module M = Map.Make (Key)
-
-  (* Absent keys mean top, so the empty map is the "know nothing"
-     state and joins drop any key the two sides disagree on to top for
-     free. *)
-  type env = Unreachable | Env of V.t M.t
-
-  let unreachable = Unreachable
-  let is_unreachable = function Unreachable -> true | Env _ -> false
-
-  let find k m = match M.find_opt k m with Some v -> v | None -> V.top
-  let set k v m = if V.equal v V.top then M.remove k m else M.add k v m
-
-  let env_equal a b =
-    match (a, b) with
-    | Unreachable, Unreachable -> true
-    | Env x, Env y -> M.equal V.equal x y
-    | (Unreachable | Env _), _ -> false
-
-  let merge_with f a b =
-    match (a, b) with
-    | Unreachable, v | v, Unreachable -> v
-    | Env x, Env y ->
-        Env
-          (M.merge
-             (fun _ l r ->
-               match (l, r) with
-               | Some l, Some r ->
-                   let v = f l r in
-                   if V.equal v V.top then None else Some v
-               | _ -> None)
-             x y)
-
-  let env_join = merge_with V.join
-  let env_widen = merge_with V.widen
-
-  let reg env r =
-    match env with
-    | Unreachable -> V.bot
-    | Env m -> find (Key.Kreg (Reg.index r)) m
-
-  let operand env = function
-    | Instr.Oimm n -> V.of_const n
-    | Instr.Ofimm _ -> V.top
-    | Instr.Oreg r -> reg env r
+  type code = {
+    first : int array;
+        (** position of each block's first instruction, then the count *)
+    op : Opcode.t array;
+    dst : int array;  (** destination key, or -1 *)
+    srcs : operand array array;
+    cell : int array;
+        (** key of the scalar cell a load or store names, or -1 *)
+    escapes : bool array;  (** a store to no named region: may hit any cell *)
+    ret : int;  (** {!Instr.ret_reg}'s key *)
+    cells : int;  (** first cell key; the globals come first *)
+    slots : int;  (** first stack-slot key *)
+    width : int;
+    refine : int array;
+        (** per block, the position of the predecessor's branch whose
+            outcome holds on entry, or -1 *)
+    taken : bool array;  (** and which outcome *)
+  }
 
   (* The scalar memory cell a load/store touches, when it is uniquely
      named.  Scalar regions are one word, so the region itself
      identifies the cell. *)
+  type cell = Global of string | Slot of string * int | No_cell
+
   let cell_of (i : Instr.t) =
     match i.Instr.mem with
-    | None -> None
+    | None -> No_cell
     | Some mi -> (
         match mi.Mem_info.region with
-        | Mem_info.Global name -> Some (Key.Kglobal name)
-        | Mem_info.Stack_slot (f, slot) -> Some (Key.Kslot (f, slot))
+        | Mem_info.Global name -> Global name
+        | Mem_info.Stack_slot (f, slot) -> Slot (f, slot)
         | Mem_info.Global_array _ | Mem_info.Global_array_view _
         | Mem_info.Stack_array _ | Mem_info.Arg_slot _ | Mem_info.Unknown ->
-            None)
-
-  (* A store we cannot attribute to a disjoint named region may hit any
-     tracked cell. *)
-  let clobber_cells m =
-    M.filter (fun k _ -> match k with Key.Kreg _ -> true | _ -> false) m
-
-  let clobber_globals m =
-    M.filter
-      (fun k _ -> match k with Key.Kglobal _ -> false | _ -> true)
-      m
+            No_cell)
 
   let store_may_escape (i : Instr.t) =
     match i.Instr.mem with
@@ -680,9 +646,97 @@ module Ir = struct
     | Some mi -> (
         match mi.Mem_info.region with Mem_info.Unknown -> true | _ -> false)
 
-  let eval_op env (i : Instr.t) =
-    let src n = operand env (List.nth i.Instr.srcs n) in
-    match i.Instr.op with
+  (* Single-predecessor blocks inherit the outcome of the
+     predecessor's conditional branch: the taken target (when it is
+     not also the fallthrough) sees the condition hold, the
+     fallthrough sees it fail.  This is what recovers a loop body's
+     [i < limit] bound after widening blows the header interval to
+     +inf — the descending sweeps then pull the header back down
+     through the latch. *)
+  let entry_branches (cfg : Cfg_info.t) first =
+    let n = Array.length cfg.Cfg_info.blocks in
+    let refine = Array.make n (-1) and taken = Array.make n false in
+    for b = 0 to n - 1 do
+      match cfg.Cfg_info.preds.(b) with
+      | [ p ] -> (
+          match List.rev cfg.Cfg_info.blocks.(p).Block.instrs with
+          | term :: _ when Instr.is_branch term -> (
+              match term.Instr.target with
+              | Some tgt ->
+                  let lbl = cfg.Cfg_info.blocks.(b).Block.label in
+                  let is_target = Label.equal tgt lbl in
+                  let is_fallthrough = b = p + 1 in
+                  if is_target <> is_fallthrough then begin
+                    refine.(b) <- first.(p + 1) - 1;
+                    taken.(b) <- is_target
+                  end
+              | None -> ())
+          | _ -> ())
+      | _ -> ()
+    done;
+    (refine, taken)
+
+  let decode ~regs ~reg (cfg : Cfg_info.t) =
+    let first, instrs = Cfg_info.positions cfg in
+    let globals = Hashtbl.create 8 and slots = Hashtbl.create 8 in
+    let number tbl k =
+      if not (Hashtbl.mem tbl k) then Hashtbl.add tbl k (Hashtbl.length tbl)
+    in
+    Array.iter
+      (fun i ->
+        match cell_of i with
+        | Global name -> number globals name
+        | Slot (f, slot) -> number slots (f, slot)
+        | No_cell -> ())
+      instrs;
+    let cells = regs in
+    let slot_base = cells + Hashtbl.length globals in
+    let operand = function
+      | Instr.Oreg r -> Reg (reg r)
+      | Instr.Oimm n -> Val (V.of_const n)
+      | Instr.Ofimm _ -> Val V.top
+    in
+    let refine, taken = entry_branches cfg first in
+    {
+      first;
+      op = Array.map (fun (i : Instr.t) -> i.Instr.op) instrs;
+      dst =
+        Array.map
+          (fun (i : Instr.t) ->
+            match i.Instr.dst with Some d -> reg d | None -> -1)
+          instrs;
+      srcs =
+        Array.map
+          (fun (i : Instr.t) -> Array.of_list (List.map operand i.Instr.srcs))
+          instrs;
+      cell =
+        Array.map
+          (fun i ->
+            match cell_of i with
+            | Global name -> cells + Hashtbl.find globals name
+            | Slot (f, slot) -> slot_base + Hashtbl.find slots (f, slot)
+            | No_cell -> -1)
+          instrs;
+      escapes = Array.map store_may_escape instrs;
+      ret = reg Instr.ret_reg;
+      cells;
+      slots = slot_base;
+      width = slot_base + Hashtbl.length slots;
+      refine;
+      taken;
+    }
+
+  let is_top (v : V.t) =
+    match (v.V.iv, v.V.cg) with
+    | Interval.Iv (Interval.Ninf, Interval.Pinf), Congruence.Cg (0, 1) -> true
+    | _ -> false
+
+  let set e k v = e.(k) <- (if is_top v then V.top else v)
+  let operand e = function Reg r -> e.(r) | Val v -> v
+
+  let eval_op code e g =
+    let src n = operand e code.srcs.(g).(n) in
+    match code.op.(g) with
     | Opcode.Add -> V.add (src 0) (src 1)
     | Opcode.Sub -> V.sub (src 0) (src 1)
     | Opcode.Mul -> V.mul (src 0) (src 1)
@@ -712,162 +766,148 @@ module Ir = struct
     | Opcode.Ret | Opcode.Halt | Opcode.Nop ->
         V.top
 
-  let step env (i : Instr.t) =
-    match env with
-    | Unreachable -> Unreachable
-    | Env m -> (
-        match i.Instr.op with
-        | Opcode.St ->
-            let m =
-              if store_may_escape i then clobber_cells m
-              else
-                match cell_of i with
-                | Some key -> set key (operand env (List.nth i.Instr.srcs 0)) m
-                | None -> m
-            in
-            Env m
-        | Opcode.Ld ->
-            let v =
-              match cell_of i with Some key -> find key m | None -> V.top
-            in
-            let m =
-              match i.Instr.dst with
-              | Some d -> set (Key.Kreg (Reg.index d)) v m
-              | None -> m
-            in
-            Env m
-        | Opcode.Call ->
-            (* The callee may write any global; stack slots are
-               per-activation and survive (regions_disjoint treats
-               distinct functions' slots as disjoint, and a recursive
-               activation writes its own frame). *)
-            let m = clobber_globals m in
-            let m =
-              List.fold_left
-                (fun m d -> M.remove (Key.Kreg (Reg.index d)) m)
-                m (Instr.defs i)
-            in
-            Env m
-        | _ -> (
-            match i.Instr.dst with
-            | None -> env
-            | Some d ->
-                let v = eval_op env i in
-                Env (set (Key.Kreg (Reg.index d)) v m)))
+  (* Push the instruction at position [g] through [e], in place. *)
+  let step code e g =
+    match code.op.(g) with
+    | Opcode.St ->
+        (* a store we cannot attribute to a disjoint named region may
+           hit any tracked cell *)
+        if code.escapes.(g) then
+          Array.fill e code.cells (code.width - code.cells) V.top
+        else if code.cell.(g) >= 0 then
+          set e code.cell.(g) (operand e code.srcs.(g).(0))
+    | Opcode.Ld ->
+        if code.dst.(g) >= 0 then
+          set e code.dst.(g)
+            (if code.cell.(g) >= 0 then e.(code.cell.(g)) else V.top)
+    | Opcode.Call ->
+        (* The callee may write any global; stack slots are
+           per-activation and survive (regions_disjoint treats
+           distinct functions' slots as disjoint, and a recursive
+           activation writes its own frame). *)
+        Array.fill e code.cells (code.slots - code.cells) V.top;
+        (* it defines its destination, or else the return register *)
+        e.(if code.dst.(g) >= 0 then code.dst.(g) else code.ret) <- V.top
+    | _ -> if code.dst.(g) >= 0 then set e code.dst.(g) (eval_op code e g)
 
-  (* Refine the taken/fallthrough environments of a conditional branch
-     on its two register operands. *)
-  let refine_branch (i : Instr.t) ~taken env =
-    match env with
-    | Unreachable -> Unreachable
-    | Env m -> (
-        match (i.Instr.op, i.Instr.srcs) with
-        | ( (Opcode.Beq | Opcode.Bne | Opcode.Blt | Opcode.Ble | Opcode.Bgt | Opcode.Bge),
-            [ Instr.Oreg r1; o2 ] ) -> (
-            let a = find (Key.Kreg (Reg.index r1)) m in
-            let b = operand env o2 in
-            let refined =
-              match (i.Instr.op, taken) with
-              | Opcode.Beq, true | Opcode.Bne, false -> Some (V.assume_eq a b)
-              | Opcode.Beq, false | Opcode.Bne, true -> Some (V.assume_ne a b)
-              | Opcode.Blt, true | Opcode.Bge, false -> Some (V.assume_lt a b)
-              | Opcode.Ble, true | Opcode.Bgt, false -> Some (V.assume_le a b)
-              | Opcode.Bge, true | Opcode.Blt, false ->
-                  let b', a' = V.assume_le b a in
-                  Some (a', b')
-              | Opcode.Bgt, true | Opcode.Ble, false ->
-                  let b', a' = V.assume_lt b a in
-                  Some (a', b')
-              | _ -> None
-            in
-            match refined with
-            | None -> env
-            | Some (a', b') ->
-                if V.is_bot a' || V.is_bot b' then Unreachable
-                else
-                  let m = set (Key.Kreg (Reg.index r1)) a' m in
-                  let m =
-                    match o2 with
-                    | Instr.Oreg r2 -> set (Key.Kreg (Reg.index r2)) b' m
-                    | _ -> m
-                  in
-                  Env m)
-        | _ -> env)
+  (* Refine [e] in place by the outcome of the conditional branch at
+     position [g]; false when that outcome is impossible. *)
+  let refine_branch code g ~taken e =
+    match (code.op.(g), code.srcs.(g)) with
+    | ( (Opcode.Beq | Opcode.Bne | Opcode.Blt | Opcode.Ble | Opcode.Bgt | Opcode.Bge),
+        [| Reg r1; o2 |] ) -> (
+        let a = e.(r1) in
+        let b = operand e o2 in
+        let refined =
+          match (code.op.(g), taken) with
+          | Opcode.Beq, true | Opcode.Bne, false -> Some (V.assume_eq a b)
+          | Opcode.Beq, false | Opcode.Bne, true -> Some (V.assume_ne a b)
+          | Opcode.Blt, true | Opcode.Bge, false -> Some (V.assume_lt a b)
+          | Opcode.Ble, true | Opcode.Bgt, false -> Some (V.assume_le a b)
+          | Opcode.Bge, true | Opcode.Blt, false ->
+              let b', a' = V.assume_le b a in
+              Some (a', b')
+          | Opcode.Bgt, true | Opcode.Ble, false ->
+              let b', a' = V.assume_lt b a in
+              Some (a', b')
+          | _ -> None
+        in
+        match refined with
+        | None -> true
+        | Some (a', b') ->
+            if V.is_bot a' || V.is_bot b' then false
+            else begin
+              set e r1 a';
+              (match o2 with Reg r2 -> set e r2 b' | Val _ -> ());
+              true
+            end)
+    | _ -> true
 
-  (* Single-predecessor blocks inherit the outcome of the
-     predecessor's conditional branch: the taken target (when it is
-     not also the fallthrough) sees the condition hold, the
-     fallthrough sees it fail.  This is what recovers a loop body's
-     [i < limit] bound after widening blows the header interval to
-     +inf — the descending sweeps then pull the header back down
-     through the latch. *)
-  let entry_refine (cfg : Cfg_info.t) b v =
-    match cfg.Cfg_info.preds.(b) with
-    | [ p ] -> (
-        match List.rev cfg.Cfg_info.blocks.(p).Block.instrs with
-        | term :: _ when Instr.is_branch term -> (
-            match term.Instr.target with
-            | Some tgt ->
-                let lbl = cfg.Cfg_info.blocks.(b).Block.label in
-                let is_target = Label.equal tgt lbl in
-                let is_fallthrough = b = p + 1 in
-                if is_target && not is_fallthrough then
-                  refine_branch term ~taken:true v
-                else if is_fallthrough && not is_target then
-                  refine_branch term ~taken:false v
-                else v
-            | None -> v)
-        | _ -> v)
-    | _ -> v
-
-  type t = { entries : (string, env) Hashtbl.t }
+  (* The block's entry state: [v] refined by the branch that leads
+     here, in a fresh array. *)
+  let entry code b = function
+    | Unreachable -> None
+    | Env a ->
+        let e = Array.copy a in
+        let g = code.refine.(b) in
+        if g < 0 || refine_branch code g ~taken:code.taken.(b) e then Some e
+        else None
 
   module Env_lattice = struct
     type t = env
 
-    let equal = env_equal
-    let join = env_join
-    let widen = env_widen
+    let equal a b =
+      match (a, b) with
+      | Unreachable, Unreachable -> true
+      | Env x, Env y ->
+          let rec same k =
+            k < 0 || ((x.(k) == y.(k) || V.equal x.(k) y.(k)) && same (k - 1))
+          in
+          same (Array.length x - 1)
+      | (Unreachable | Env _), _ -> false
+
+    (* [f] is [V.join] or [V.widen], and both give top whenever either
+       side is top. *)
+    let merge_with f a b =
+      match (a, b) with
+      | Unreachable, v | v, Unreachable -> v
+      | Env x, Env y ->
+          Env
+            (Array.init (Array.length x) (fun k ->
+                 let l = x.(k) and r = y.(k) in
+                 if l == V.top || r == V.top then V.top
+                 else
+                   let v = f l r in
+                   if is_top v then V.top else v))
+
+    let join = merge_with V.join
+    let widen = merge_with V.widen
     let pp ppf _ = Fmt.string ppf "<range-env>"
   end
 
-  module T = struct
-    module L = Env_lattice
+  type t = {
+    def : V.t array;
+        (** position -> range of the instruction's result over all
+            executions; top without a result or when unreachable *)
+    init : V.t array option;  (** register -> entry range; [None]: top *)
+  }
 
-    type ctx = Cfg_info.t
+  let analyze ~regs ~reg (cfg : Cfg_info.t) =
+    let code = decode ~regs ~reg cfg in
+    let def = Array.make code.first.(Array.length code.first - 1) V.top in
+    (* Every transfer records its block's results, so after the solver's
+       last (descending) sweep [def] holds the ranges of the solution. *)
+    let transfer b v =
+      let lo = code.first.(b) and hi = code.first.(b + 1) in
+      match entry code b v with
+      | None ->
+          Array.fill def lo (hi - lo) V.top;
+          Unreachable
+      | Some e ->
+          for g = lo to hi - 1 do
+            step code e g;
+            if code.dst.(g) >= 0 then def.(g) <- e.(code.dst.(g))
+          done;
+          Env e
+    in
+    let module T = struct
+      module L = Env_lattice
 
-    let prepare cfg = cfg
-    let init _ = Unreachable
-    let boundary _ = Env M.empty
+      type ctx = unit
 
-    let transfer cfg b v =
-      let v = entry_refine cfg b v in
-      List.fold_left step v cfg.Cfg_info.blocks.(b).Block.instrs
-  end
-
-  module Solver = Dataflow.Forward_widen (T)
-
-  let analyze (f : Func.t) =
-    let cfg = Cfg_info.build f in
+      let prepare _ = ()
+      let init () = Unreachable
+      let boundary () = Env (Array.make code.width V.top)
+      let transfer () b v = transfer b v
+    end in
+    let module Solver = Dataflow.Forward_widen (T) in
     let sol = Solver.solve cfg in
-    let entries = Hashtbl.create 17 in
-    Array.iteri
-      (fun idx (blk : Block.t) ->
-        Hashtbl.replace entries (Label.to_string blk.Block.label)
-          (entry_refine cfg idx sol.Dataflow.inb.(idx)))
-      cfg.Cfg_info.blocks;
-    { entries }
+    let init =
+      if Array.length sol.Dataflow.inb = 0 then None
+      else entry code 0 sol.Dataflow.inb.(0)
+    in
+    { def; init }
 
-  let block_entry t lbl =
-    match Hashtbl.find_opt t.entries (Label.to_string lbl) with
-    | Some e -> e
-    | None -> Unreachable
-
-  let address env (i : Instr.t) =
-    match i.Instr.op with
-    | Opcode.Ld ->
-        V.add (operand env (List.nth i.Instr.srcs 0)) (V.of_const i.Instr.offset)
-    | Opcode.St ->
-        V.add (operand env (List.nth i.Instr.srcs 1)) (V.of_const i.Instr.offset)
-    | _ -> V.top
+  let def_range t g = t.def.(g)
+  let entry_range t r = match t.init with Some e -> e.(r) | None -> V.top
 end

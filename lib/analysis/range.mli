@@ -117,35 +117,26 @@ module V : sig
 end
 
 (** Register and scalar-memory ranges of an IR function, solved on
-    {!Dataflow.Forward_widen}.  The environment tracks virtual (and
-    physical) registers, named global scalars and stack slots; loads
-    from tracked cells recover the stored range, so loop counters that
-    live in stack slots keep their stride through the back edge. *)
+    {!Dataflow.Forward_widen} over dense environments.  The environment
+    tracks the function's registers, named global scalars and stack
+    slots; loads from tracked cells recover the stored range, so loop
+    counters that live in stack slots keep their stride through the
+    back edge.  {!Memdep} is its client: it numbers the registers and
+    reads back the range of every definition and entry value. *)
 module Ir : sig
-  type env
-  (** Abstract state at a program point; absent facts mean top. *)
-
-  val unreachable : env
-  val is_unreachable : env -> bool
-
   type t
-  (** Per-block-entry environments of one function. *)
 
-  val analyze : Ilp_ir.Func.t -> t
+  val analyze :
+    regs:int -> reg:(Ilp_ir.Reg.t -> int) -> Cfg_info.t -> t
+  (** [reg] numbers densely in [\[0, regs)] every register the
+      function's instructions read or write, and {!Ilp_ir.Instr.ret_reg}. *)
 
-  val block_entry : t -> Ilp_ir.Label.t -> env
-  (** Environment at the entry of the named block ({!unreachable} for
-      blocks the analysis never reached). *)
+  val def_range : t -> int -> V.t
+  (** [def_range t g]: the range, over all executions, of the result of
+      the function's [g]-th instruction (counting every instruction of
+      every block in layout order); top for an instruction without a
+      destination or in a block the analysis never reached. *)
 
-  val step : env -> Ilp_ir.Instr.t -> env
-  (** Push one instruction through the environment — re-walking a block
-      from {!block_entry} yields the state before each instruction. *)
-
-  val reg : env -> Ilp_ir.Reg.t -> V.t
-
-  val operand : env -> Ilp_ir.Instr.operand -> V.t
-
-  val address : env -> Ilp_ir.Instr.t -> V.t
-  (** Range of the effective address of a load or store (base operand
-      plus constant offset); top for other instructions. *)
+  val entry_range : t -> int -> V.t
+  (** The range of register number [r] at function entry. *)
 end

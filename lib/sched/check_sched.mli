@@ -44,8 +44,10 @@ val check_func :
   original:Func.t ->
   scheduled:Func.t ->
   unit
-(** With [~memdep:true], runs {!Ilp_analysis.Memdep.analyze} on the
-    original function and re-justifies removed edges per block. *)
+(** With [~memdep:true], re-justifies removed edges per block with
+    {!Ilp_analysis.Memdep.analyze} of the original function.  The
+    analysis runs on demand, so only a schedule that reverses a memory
+    edge pays for it. *)
 
 val check_program :
   ?memdep:bool ->

@@ -131,6 +131,56 @@ let test_legality_accepts_real_scheduler () =
     [ Presets.base; Presets.superscalar 4;
       Presets.superscalar_with_class_conflicts 4; Presets.cray1 () ]
 
+(* --- schedule legality with memory disambiguation ----------------------- *)
+
+(* Unannotated accesses, so only the dependence analysis can take a
+   memory edge away: the conservative DDG serializes every store with
+   every other access. *)
+let func_of instrs =
+  Func.make ~name:"f" ~frame_size:0 ~n_params:0 [ block_of instrs ]
+
+let check_memdep ~original ~scheduled =
+  Check_sched.check_func ~memdep:true Presets.base
+    ~original:(func_of original) ~scheduled:(func_of scheduled)
+
+let rejected what f =
+  match f () with
+  | () -> Alcotest.failf "%s not flagged" what
+  | exception Check_sched.Illegal _ -> ()
+
+(* A load hoisted above a store through another base register: the
+   analysis cannot prove the two apart, so the edge stays. *)
+let test_memdep_rejects_may_alias () =
+  let st = Builder.st ~value:(r 1) ~base:(r 2) ~offset:0 () in
+  let ld = Builder.ld (r 3) ~base:(r 4) ~offset:0 in
+  rejected "load hoisted above a may-alias store" (fun () ->
+      check_memdep ~original:[ st; ld ] ~scheduled:[ ld; st ]);
+  rejected "the same move under the block's own classifier" (fun () ->
+      let md = Ilp_analysis.Memdep.analyze (func_of [ st; ld ]) in
+      Check_sched.check_block
+        ~classify:(Ilp_analysis.Memdep.classifier md (Label.of_string "b"))
+        Presets.base ~original:(block_of [ st; ld ])
+        ~scheduled:(block_of [ ld; st ]))
+
+(* The same move across a store to another constant offset from the same
+   base register is proven apart, so it is legal with the analysis and
+   only with it. *)
+let test_memdep_accepts_no_alias () =
+  let st = Builder.st ~value:(r 1) ~base:(r 2) ~offset:0 () in
+  let ld = Builder.ld (r 3) ~base:(r 2) ~offset:1 in
+  check_memdep ~original:[ st; ld ] ~scheduled:[ ld; st ];
+  rejected "the move without the analysis" (fun () ->
+      Check_sched.check_func Presets.base ~original:(func_of [ st; ld ])
+        ~scheduled:(func_of [ ld; st ]))
+
+(* Reordering around the memory accesses without reordering them needs
+   no verdict. *)
+let test_memdep_no_memory_reorder () =
+  let st = Builder.st ~value:(r 1) ~base:(r 2) ~offset:0 () in
+  let k = Builder.li (r 5) 7 in
+  let ld = Builder.ld (r 3) ~base:(r 4) ~offset:0 in
+  check_memdep ~original:[ st; k; ld ] ~scheduled:[ k; st; ld ]
+
 (* --- differential oracle ----------------------------------------------- *)
 
 let test_diffcheck_clean () =
@@ -336,4 +386,10 @@ let tests =
     QCheck_alcotest.to_alcotest
       (prop_direct_matches_allocated "random" Gen_minimod.prog);
     QCheck_alcotest.to_alcotest
-      (prop_direct_matches_allocated "alias-heavy" Gen_minimod.alias_heavy_prog) ]
+      (prop_direct_matches_allocated "alias-heavy" Gen_minimod.alias_heavy_prog);
+    Alcotest.test_case "legality, memdep: may-alias hoist caught" `Quick
+      test_memdep_rejects_may_alias;
+    Alcotest.test_case "legality, memdep: proven-apart hoist ok" `Quick
+      test_memdep_accepts_no_alias;
+    Alcotest.test_case "legality, memdep: no memory reorder ok" `Quick
+      test_memdep_no_memory_reorder ]

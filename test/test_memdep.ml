@@ -241,6 +241,165 @@ let test_smooth_stats () =
   Alcotest.(check bool)
     "pruned beyond the region analysis" true (stats.Memdep.pruned > 0)
 
+(* --- the on-demand analysis against the reference ----------------------- *)
+
+(* Where [Memdep] and [Memdep_ref] disagree on [f], if anywhere: the
+   verdict of every ordered pair of memory instructions of every block,
+   asked block by block from the last block back so that the on-demand
+   tiers are forced in another order than the reference computes them,
+   and [func_stats] on a fresh analysis. *)
+let reference_mismatch ~ranges (f : Func.t) =
+  let md = Memdep.analyze ~ranges f and rf = Memdep_ref.analyze ~ranges f in
+  let pair_mismatch (b : Block.t) =
+    let got = Memdep.classifier md b.Block.label
+    and want = Memdep_ref.classifier rf b.Block.label in
+    let mems = List.filter Instr.is_memory b.Block.instrs in
+    List.find_map
+      (fun (i : Instr.t) ->
+        List.find_map
+          (fun (j : Instr.t) ->
+            let g = got i j and w = want i j in
+            if i.Instr.id = j.Instr.id || Memdep.equal_alias g w then None
+            else
+              Some
+                (Fmt.str "%s: [%a] vs [%a]: %a, reference %a"
+                   (Label.to_string b.Block.label)
+                   Instr.pp i Instr.pp j Memdep.pp_alias g Memdep.pp_alias w))
+          mems)
+      mems
+  in
+  match List.find_map pair_mismatch (List.rev f.Func.blocks) with
+  | Some _ as m -> m
+  | None ->
+      let got = Memdep.func_stats (Memdep.analyze ~ranges f) f
+      and want = Memdep_ref.func_stats rf f in
+      if got = want then None
+      else
+        Some
+          (Printf.sprintf "func_stats: pairs %d/%d no-alias %d/%d must %d/%d \
+                           pruned %d/%d (reference second)"
+             got.Memdep.pairs want.Memdep.pairs got.Memdep.no_alias
+             want.Memdep.no_alias got.Memdep.must_alias want.Memdep.must_alias
+             got.Memdep.pruned want.Memdep.pruned)
+
+let program_mismatch (p : Program.t) =
+  List.find_map
+    (fun (f : Func.t) ->
+      List.find_map
+        (fun ranges ->
+          Option.map
+            (fun what ->
+              Printf.sprintf "%s (ranges %b): %s" f.Func.name ranges what)
+            (reference_mismatch ~ranges f))
+        [ true; false ])
+    p.Program.functions
+
+let careful_unroll =
+  { Ilp_core.Ilp.mode = Ilp_lang.Unroll.Careful; factor = 4; bounds = true }
+
+(* Programs of all four generator modes, at O1-O4, rolled and with a
+   careful unroll: the scheduler's input, where [List_sched] and
+   [Check_sched] run the analysis.  Not shrunk: every candidate costs
+   eight compiles and both analyses, so shrinking a counterexample takes
+   minutes, and the report already names the function, block and pair. *)
+let prop_matches_reference =
+  QCheck2.Test.make ~count:52
+    ~name:"memdep: on-demand analysis = reference on every memory pair"
+    ~print:(fun s -> s)
+    (QCheck2.Gen.no_shrink Gen_minimod.any_mode_program)
+    (fun source ->
+      List.for_all
+        (fun unroll ->
+          List.for_all
+            (fun level ->
+              let p =
+                Ilp_core.Ilp.compile_unscheduled ?unroll ~level
+                  Presets.base source
+              in
+              match program_mismatch p with
+              | None -> true
+              | Some what ->
+                  QCheck2.Test.fail_reportf "%s, unroll %b: %s"
+                    (Ilp_core.Ilp.opt_level_name level)
+                    (Option.is_some unroll) what)
+            Ilp_core.Ilp.[ O1; O2; O3; O4 ])
+        [ None; Some careful_unroll ])
+
+(* Shapes codegen never emits (a [sub] by an immediate, a sum with the
+   constant first, copies) carry tier-1 facts into the next block, and a
+   call clobbers them on the way to the last one; each block's verdicts
+   must be the reference's, and the facts must have arrived. *)
+let test_hand_built_matches_reference () =
+  let l = Label.of_string in
+  let st_base = Builder.st ~value:(r 1) ~base:(r 2) ~offset:0 () in
+  let ld_same = Builder.ld (r 10) ~base:(r 3) ~offset:1 in
+  let ld_next = Builder.ld (r 11) ~base:(r 6) ~offset:2 in
+  let st_sum = Builder.st ~value:(r 1) ~base:(r 7) ~offset:(-3) () in
+  let f =
+    Func.make ~name:"f" ~frame_size:0 ~n_params:0
+      [ Block.make (l "entry")
+          [ Builder.li (r 9) 4;
+            Builder.ri Opcode.Sub (r 3) (r 2) 1;
+            Builder.add (r 4) (r 2) (r 9);
+            Builder.sub (r 5) (r 2) (r 9);
+            Builder.mov (r 6) (r 3);
+            Builder.add (r 7) (r 9) (r 2) ];
+        Block.make (l "use")
+          [ st_base; ld_same; ld_next;
+            Builder.st ~value:(r 1) ~base:(r 4) ~offset:(-4) ();
+            Builder.st ~value:(r 1) ~base:(r 5) ~offset:4 ();
+            st_sum; Builder.call (l "g") ];
+        Block.make (l "after")
+          [ Builder.st ~value:(r 1) ~base:(r 3) ~offset:1 ();
+            Builder.ld (r 12) ~base:Reg.sp ~offset:0;
+            Builder.st ~value:(r 1) ~base:(r 6) ~offset:1 ();
+            Builder.ret () ] ]
+  in
+  List.iter
+    (fun ranges ->
+      Option.iter Alcotest.fail (reference_mismatch ~ranges f))
+    [ true; false ];
+  let classify = Memdep.classifier (Memdep.analyze f) (l "use") in
+  Alcotest.check alias_t "0(r2) vs 1(r2-1)" Memdep.Must_alias
+    (classify st_base ld_same);
+  Alcotest.check alias_t "0(r2) vs 2(r2-1)" Memdep.No_alias
+    (classify st_base ld_next);
+  Alcotest.check alias_t "2(r2-1) vs -3(4+r2)" Memdep.Must_alias
+    (classify ld_next st_sum)
+
+(* Every shipped workload at every level and under the three unrollings
+   the benchmark's [compile] workload schedules. *)
+let test_workloads_match_reference () =
+  let unroll mode factor bounds = Some { Ilp_core.Ilp.mode; factor; bounds } in
+  let unrolls =
+    [ None; unroll Ilp_lang.Unroll.Naive 4 false;
+      unroll Ilp_lang.Unroll.Careful 8 true ]
+  in
+  List.iter
+    (fun (w : Ilp_workloads.Workload.t) ->
+      List.iter
+        (fun unroll ->
+          let source =
+            match unroll with
+            | Some { Ilp_core.Ilp.mode = Ilp_lang.Unroll.Careful; _ } ->
+                Ilp_workloads.Workload.source_for_mode w `Careful
+            | Some _ | None -> w.Ilp_workloads.Workload.source
+          in
+          List.iter
+            (fun level ->
+              let p =
+                Ilp_core.Ilp.compile_unscheduled ?unroll ~level
+                  (Presets.superscalar 4) source
+              in
+              match program_mismatch p with
+              | None -> ()
+              | Some what ->
+                  Alcotest.failf "%s %s: %s" w.Ilp_workloads.Workload.name
+                    (Ilp_core.Ilp.opt_level_name level) what)
+            Ilp_core.Ilp.all_levels)
+        unrolls)
+    (Ilp_workloads.Registry.all @ Ilp_workloads.Registry.extras)
+
 let tests =
   [ Alcotest.test_case "classify: constant offsets" `Quick test_const_offsets;
     Alcotest.test_case "classify: linear index chain" `Quick test_linear_chain;
@@ -256,4 +415,9 @@ let tests =
       test_workloads_sound;
     Alcotest.test_case "smooth: disambiguation strictly improves ILP" `Quick
       test_smooth_improves;
-    Alcotest.test_case "smooth: pruning statistics" `Quick test_smooth_stats ]
+    Alcotest.test_case "smooth: pruning statistics" `Quick test_smooth_stats;
+    Alcotest.test_case "hand-built: on-demand analysis = reference" `Quick
+      test_hand_built_matches_reference;
+    QCheck_alcotest.to_alcotest prop_matches_reference;
+    Alcotest.test_case "workloads: on-demand analysis = reference" `Quick
+      test_workloads_match_reference ]

@@ -365,6 +365,18 @@ let test_cli_exit_codes () =
     (* more domains than the runtime allows is a usage error *)
     Alcotest.(check int) "experiment, --jobs beyond the domain limit" 2
       (run "%s experiment fig1_1 --jobs 100000 > /dev/null 2>&1" cli);
+    (* a machine Config.make rejects is a bad -m value, like an unknown
+       name, not an uncaught exception *)
+    List.iter
+      (fun machine ->
+        List.iter
+          (fun command ->
+            Alcotest.(check int)
+              (Printf.sprintf "%s -m %s" command machine)
+              124
+              (run "%s %s -b whet -m %s > /dev/null 2>&1" cli command machine))
+          [ "run"; "lint" ])
+      [ "superscalar-0"; "superpipelined-0"; "nosuch" ];
     with_source_file oob_source (fun path ->
         Alcotest.(check int) "lint text, proved oob" 1
           (run "%s lint --file %s > /dev/null 2>&1" cli path);
