@@ -58,46 +58,7 @@ let regenerate () =
     Ilp_core.Experiments.all
 
 (* ------------------------------------------------------------------ *)
-(* 2. direct vs replay wall clock on fig4_1                             *)
-
-(* fig4_1 sweeps 16 machine configurations over the whole suite; the
-   trace-replay engine captures each workload once and replays it per
-   configuration.  Time both engines and record the ratio. *)
-let time_engines () =
-  let wall f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (Unix.gettimeofday () -. t0, r)
-  in
-  let direct_s, direct =
-    wall (fun () -> Ilp_core.Experiments.fig4_1 ~engine:`Direct ())
-  in
-  let replay_s, replay =
-    wall (fun () -> Ilp_core.Experiments.fig4_1 ~engine:`Replay ())
-  in
-  if direct <> replay then
-    failwith "BUG: replay fig4_1 differs from direct fig4_1";
-  let ratio = direct_s /. replay_s in
-  Printf.printf
-    "---- fig4_1 engine comparison ----\n\
-     direct (16 executions):  %.2f s\n\
-     replay (8 captures):     %.2f s\n\
-     speedup:                 %.2fx\n\n%!"
-    direct_s replay_s ratio;
-  let oc = open_out "BENCH_replay.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"experiment\": \"fig4_1\",\n\
-    \  \"direct_seconds\": %.3f,\n\
-    \  \"replay_seconds\": %.3f,\n\
-    \  \"speedup\": %.2f\n\
-     }\n"
-    direct_s replay_s ratio;
-  close_out oc;
-  Printf.printf "wrote BENCH_replay.json\n\n%!"
-
-(* ------------------------------------------------------------------ *)
-(* 3. serial vs parallel wall clock on fig4_1                           *)
+(* 2. serial vs parallel wall clock on fig4_1                           *)
 
 (* The same replay-engine fig4_1 sweep, fanned out over domain pools of
    1, 2, 4 and (if different) one per host core.  Results must be
@@ -171,7 +132,7 @@ let time_parallel () =
   Printf.printf "wrote BENCH_parallel.json\n\n%!"
 
 (* ------------------------------------------------------------------ *)
-(* 4. conservative vs alias-disambiguated scheduling                    *)
+(* 3. conservative vs alias-disambiguated scheduling                    *)
 
 (* The memdep study sweep: every (workload, superscalar degree) cell
    scheduled with and without static memory disambiguation, off one
@@ -225,7 +186,7 @@ let time_memdep () =
   Printf.printf "wrote BENCH_memdep.json\n\n%!"
 
 (* ------------------------------------------------------------------ *)
-(* 5. bound-aware unrolling: full unroll + peeling vs classic curves    *)
+(* 4. bound-aware unrolling: full unroll + peeling vs classic curves    *)
 
 (* The fig4_5_unroll grid: naive / careful / careful-peel parallelism
    per benchmark and factor.  The peel curve must never fall below the
@@ -290,7 +251,7 @@ let time_unroll () =
   Printf.printf "wrote BENCH_unroll.json\n\n%!"
 
 (* ------------------------------------------------------------------ *)
-(* 6. value-range disambiguation: what the range tier prunes            *)
+(* 5. value-range disambiguation: what the range tier prunes            *)
 
 (* Per workload (rolled or at its shipped unroll factor): DDG edges
    pruned by the symbolic tiers alone vs with the value-range product
@@ -350,7 +311,7 @@ let time_rangedep () =
   Printf.printf "wrote BENCH_rangedep.json\n\n%!"
 
 (* ------------------------------------------------------------------ *)
-(* 7. Bechamel suite                                                    *)
+(* 6. Bechamel suite                                                    *)
 
 let experiment_tests =
   List.map
@@ -386,39 +347,6 @@ let component_tests =
            ignore (Ilp_core.Ilp.compile ~level:Ilp_core.Ilp.O0 base yacc_source)));
     Test.make ~name:"simulate: yacc functional"
       (Staged.stage (fun () -> ignore (Ilp_sim.Exec.run compiled_yacc)));
-    Test.make ~name:"simulate: yacc timed (superscalar-4)"
-      (Staged.stage (fun () ->
-           ignore
-             (Ilp_sim.Metrics.measure (Ilp_machine.Presets.superscalar 4)
-                compiled_yacc)));
-    (* decode-memo pair: the production path memoizes per-static-instruction
-       decode; the "fresh decode" observer re-derives the class and register
-       index arrays for every dynamic instruction, the pre-memo behavior *)
-    Test.make ~name:"timing: yacc issue (memoized decode)"
-      (Staged.stage (fun () ->
-           let timing =
-             Ilp_sim.Timing.create (Ilp_machine.Presets.superscalar 4)
-           in
-           ignore
-             (Ilp_sim.Exec.run ~observer:(Ilp_sim.Timing.observer timing)
-                compiled_yacc);
-           Ilp_sim.Timing.finish timing));
-    Test.make ~name:"timing: yacc issue (fresh decode per instr)"
-      (Staged.stage (fun () ->
-           let timing =
-             Ilp_sim.Timing.create (Ilp_machine.Presets.superscalar 4)
-           in
-           let module I = Ilp_ir.Instr in
-           let indices regs =
-             Array.of_list (List.map Ilp_ir.Reg.index regs)
-           in
-           let observer i addr =
-             Ilp_sim.Timing.issue_decoded timing ~cls:(I.iclass i)
-               ~is_load:(I.is_load i) ~defs:(indices (I.defs i))
-               ~uses:(indices (I.uses i)) addr
-           in
-           ignore (Ilp_sim.Exec.run ~observer compiled_yacc);
-           Ilp_sim.Timing.finish timing));
     Test.make ~name:"schedule: yacc for CRAY-1"
       (Staged.stage (fun () ->
            ignore (Ilp_sched.List_sched.run (Ilp_machine.Presets.cray1 ()) compiled_yacc)))
@@ -481,11 +409,6 @@ let () =
   end;
   Printf.printf "parallel sweep engine: %d job(s)\n\n%!" jobs;
   Ilp_core.Experiments.with_jobs jobs regenerate;
-  print_string
-    "================================================================\n\
-     Trace-replay engine: direct vs replay wall clock\n\
-     ================================================================\n\n";
-  time_engines ();
   print_string
     "================================================================\n\
      Parallel sweep engine: jobs=1 vs jobs=4 wall clock\n\

@@ -213,19 +213,10 @@ let read_checked_file path =
 (* --- run ---------------------------------------------------------------- *)
 
 let run_cmd =
-  let replay_arg =
-    let doc =
-      "Time the benchmark by capturing its trace once and replaying it \
-       through the machine's timing model, instead of observing a direct \
-       interpretation.  Results are identical; this exercises the \
-       capture-once/replay-many engine the experiment sweeps use."
-    in
-    Arg.(value & flag & info [ "replay" ] ~doc)
-  in
   let verbose_arg =
     let doc =
-      "With $(b,--replay): report the captured trace's footprint — \
-       segment visits, addresses and payload bytes."
+      "Also report the captured trace's footprint — segment visits, \
+       addresses and payload bytes."
     in
     Arg.(value & flag & info [ "v"; "verbose" ] ~doc)
   in
@@ -240,50 +231,31 @@ let run_cmd =
     in
     Arg.(value & flag & info [ "memdep" ] ~doc)
   in
-  let action bench machine level factor careful peel replay check memdep
-      verbose =
+  let action bench machine level factor careful peel check memdep verbose =
     let w = find_bench bench in
     let unroll = unroll_spec factor careful peel in
     let source = source_for w careful in
-    let trace_stats = ref None in
-    let r =
+    let binary =
       try
-        if replay then (
-          let pre =
-            if check then
-              Ilp_core.Diffcheck.check_unscheduled ?unroll ~level machine
-                source
-            else
-              Ilp_core.Ilp.compile_unscheduled ?unroll ~level machine source
-          in
-          let trace = Ilp_sim.Trace_buffer.capture pre in
-          trace_stats := Some (Ilp_sim.Trace_buffer.stats trace);
-          let binary =
-            Ilp_core.Ilp.schedule ~check ~memdep ~level machine pre
-          in
-          Ilp_sim.Metrics.measure_replay machine trace binary)
-        else if check then (
-          let binary =
-            Ilp_core.Diffcheck.check_compile ?unroll ~memdep ~level machine
-              source
-          in
-          Ilp_sim.Metrics.measure machine binary)
-        else Ilp_core.Ilp.measure ?unroll ~memdep ~level machine source
+        if check then
+          Ilp_core.Diffcheck.check_compile ?unroll ~memdep ~level machine
+            source
+        else Ilp_core.Ilp.compile ?unroll ~memdep ~level machine source
       with e -> report_check_failure e
     in
+    let trace = Ilp_sim.Trace_buffer.capture binary in
+    let r = Ilp_sim.Metrics.measure_replay machine trace binary in
     Fmt.pr "benchmark      %s@." bench;
     Fmt.pr "machine        %s@." machine.Ilp_machine.Config.name;
     Fmt.pr "optimization   %s@." (Ilp_core.Ilp.opt_level_name level);
-    Fmt.pr "engine         %s@." (if replay then "trace replay" else "direct");
     if memdep then Fmt.pr "memdep         alias-aware scheduling@.";
     if check then Fmt.pr "checked        every pass (clean)@.";
-    (if verbose then
-       match !trace_stats with
-       | None -> ()
-       | Some st ->
-           Fmt.pr "trace          %d visit(s), %d address(es)@."
-             st.Ilp_sim.Trace_buffer.visits st.Ilp_sim.Trace_buffer.addresses;
-           Fmt.pr "trace size     %d byte(s)@." st.Ilp_sim.Trace_buffer.bytes);
+    if verbose then begin
+      let st = Ilp_sim.Trace_buffer.stats trace in
+      Fmt.pr "trace          %d visit(s), %d address(es)@."
+        st.Ilp_sim.Trace_buffer.visits st.Ilp_sim.Trace_buffer.addresses;
+      Fmt.pr "trace size     %d byte(s)@." st.Ilp_sim.Trace_buffer.bytes
+    end;
     Fmt.pr "instructions   %d@." r.Ilp_sim.Metrics.dyn_instrs;
     Fmt.pr "base cycles    %.1f@." r.Ilp_sim.Metrics.base_cycles;
     Fmt.pr "speedup (ILP)  %.3f@." r.Ilp_sim.Metrics.speedup;
@@ -292,8 +264,7 @@ let run_cmd =
   let term =
     Term.(
       const action $ bench_arg $ machine_arg $ level_arg $ unroll_arg
-      $ careful_arg $ peel_arg $ replay_arg $ check_arg $ memdep_arg
-      $ verbose_arg)
+      $ careful_arg $ peel_arg $ check_arg $ memdep_arg $ verbose_arg)
   in
   Cmd.v (Cmd.info "run" ~doc:"Compile and simulate one benchmark") term
 
@@ -1155,18 +1126,15 @@ let profile_cmd =
     let p =
       Ilp_core.Ilp.compile ?unroll ~level machine (source_for w careful)
     in
-    let timing = Ilp_sim.Timing.create machine in
-    let outcome =
-      Ilp_sim.Exec.run ~observer:(Ilp_sim.Timing.observer timing) p
-    in
-    Ilp_sim.Timing.finish timing;
-    let total = float_of_int outcome.Ilp_sim.Exec.dyn_instrs in
+    let trace = Ilp_sim.Trace_buffer.capture p in
+    let r = Ilp_sim.Metrics.measure_replay machine trace p in
+    let total = float_of_int r.Ilp_sim.Metrics.dyn_instrs in
     Fmt.pr "per-function dynamic instruction counts:@.";
     List.iter
       (fun (name, count) ->
         Fmt.pr "  %-16s %10d  (%.1f%%)@." name count
           (100.0 *. float_of_int count /. total))
-      outcome.Ilp_sim.Exec.per_function;
+      (Ilp_sim.Trace_buffer.per_function trace);
     Fmt.pr "@.instruction-class mix:@.";
     Array.iteri
       (fun idx count ->
@@ -1175,17 +1143,15 @@ let profile_cmd =
             (Ilp_ir.Iclass.name (Ilp_ir.Iclass.of_index idx))
             count
             (100.0 *. float_of_int count /. total))
-      outcome.Ilp_sim.Exec.class_counts;
+      r.Ilp_sim.Metrics.class_counts;
     Fmt.pr "@.issue-width histogram on %s:@." machine.Ilp_machine.Config.name;
-    let cycles =
-      float_of_int
-        (Array.fold_left ( + ) 0 timing.Ilp_sim.Timing.issue_histogram)
-    in
+    let histogram = r.Ilp_sim.Metrics.issue_histogram in
+    let cycles = float_of_int (Array.fold_left ( + ) 0 histogram) in
     Array.iteri
       (fun k count ->
         Fmt.pr "  %d/cycle  %10d  (%.1f%%)@." k count
           (100.0 *. float_of_int count /. cycles))
-      timing.Ilp_sim.Timing.issue_histogram
+      histogram
   in
   let term =
     Term.(

@@ -24,12 +24,9 @@ let () =
         let cache =
           Ilp_sim.Cache.create ~lines:64 ~line_words:4 ~penalty ()
         in
-        let program =
-          Ilp_core.Ilp.compile ~level:Ilp_core.Ilp.O4 config
-            w.Ilp_workloads.Workload.source
-        in
-        (Ilp_sim.Metrics.measure ~cache config program).Ilp_sim.Metrics
-          .base_cycles
+        (Ilp_core.Ilp.measure ~cache ~level:Ilp_core.Ilp.O4 config
+           w.Ilp_workloads.Workload.source)
+          .Ilp_sim.Metrics.base_cycles
       in
       let narrow = cycles Presets.base in
       let wide = cycles (Presets.superscalar 3) in

@@ -16,10 +16,16 @@
       [base + [lo, hi]] where the base is an absolute constant, a
       register's value at function entry, or the most recent result of a
       given instruction.  The transfer tracks Li/Mov/Add/Sub exactly;
-      every other definition becomes its own base.  A definition site
-      re-executing invalidates stale references to its previous value,
-      which is what makes [Def] bases sound around loop back edges
-      (affine induction steps survive as "Def(increment) + k").
+      every other definition becomes its own base.  [Def] bases stay
+      sound around loop back edges (affine induction steps survive as
+      "Def(increment) + k") because at a block's entry no register
+      holds a result of that block's own instructions.
+      [Dataflow.run_worklist]'s first sweep transfers every block in
+      reverse postorder, so a block's DFS-tree parent is always a
+      non-[Univ] source, and the tree path to it from the entry does
+      not run through the block; [Addr_env.join] keeps a register only
+      when every source agrees on its base.  So when an instruction
+      re-executes, no register still names its previous result.
 
    2. A per-block symbolic evaluation: every register holds a linear
       combination of hash-consed opaque terms (function-entry values,
@@ -220,31 +226,12 @@ let shifted e d own s dlo dhi =
   let lo = e.((3 * s) + 1) + dlo and hi = e.((3 * s) + 2) + dhi in
   if hi - lo <= width_cap then put e d e.(3 * s) lo hi else put e d own 0 0
 
-(* Forget the registers among [holders.(g)] that still hold [own], the
-   previous result of the instruction at position [g]. *)
-let stale e holders own g =
-  List.iter (fun r -> if e.(3 * r) = own then clear e r) holders.(g);
-  holders.(g) <- []
-
-(* Push block [b] through a copy of [a].  An instruction re-executing
-   makes references to its previous result stale; [holders.(g)] lists
-   the registers that may hold the result of the instruction at
-   position [g] of this block (noted at entry and whenever a copy or
-   shift moves a base), so that filter touches only those. *)
-let tier1_block code effects holders b a =
+(* Push block [b] through a copy of [a]. *)
+let tier1_block code effects b a =
   let e = Array.copy a in
-  let regs = code.regs and lo = code.first.(b) and hi = code.first.(b + 1) in
-  let note r =
-    let g = e.(3 * r) - regs in
-    if g >= lo && g < hi then holders.(g) <- r :: holders.(g)
-  in
-  Array.fill holders lo (hi - lo) [];
-  for r = 0 to regs - 1 do
-    note r
-  done;
-  for g = lo to hi - 1 do
+  let regs = code.regs in
+  for g = code.first.(b) to code.first.(b + 1) - 1 do
     let own = regs + g and d = code.dst.(g) in
-    stale e holders own g;
     match effects.(g) with
     | Keep -> ()
     | Clobber ->
@@ -258,12 +245,10 @@ let tier1_block code effects holders b a =
     | Const n -> put e d absolute n n
     | Copy s ->
         if e.(3 * s) = unknown then put e d own 0 0
-        else put e d e.(3 * s) e.((3 * s) + 1) e.((3 * s) + 2);
-        note d
+        else put e d e.(3 * s) e.((3 * s) + 1) e.((3 * s) + 2)
     | Shift (s, n) ->
         if e.(3 * s) = unknown then put e d own 0 0
-        else shifted e d own s n n;
-        note d
+        else shifted e d own s n n
     | Sum (sub, s1, s2) ->
         let b1 = e.(3 * s1) and b2 = e.(3 * s2) in
         if b1 = unknown then put e d own 0 0
@@ -273,15 +258,13 @@ let tier1_block code effects holders b a =
           else shifted e d own s1 lo2 hi2
         else if b1 = absolute && b2 <> unknown && not sub then
           shifted e d own s2 e.((3 * s1) + 1) e.((3 * s1) + 2)
-        else put e d own 0 0;
-        note d
+        else put e d own 0 0
   done;
   e
 
 (* The environment at each block's entry. *)
 let tier1 code (cfg : Cfg_info.t) =
   let effects = Array.init (Array.length code.instrs) (effect code) in
-  let holders = Array.make (Array.length code.instrs) [] in
   let module T = struct
     module L = Addr_env
 
@@ -302,7 +285,7 @@ let tier1 code (cfg : Cfg_info.t) =
 
     let transfer () b = function
       | Addr_env.Univ -> Addr_env.Univ
-      | Addr_env.Env a -> Addr_env.Env (tier1_block code effects holders b a)
+      | Addr_env.Env a -> Addr_env.Env (tier1_block code effects b a)
   end in
   let module Solver = Dataflow.Forward (T) in
   (Solver.solve cfg).Dataflow.inb

@@ -81,12 +81,6 @@ let workload_source ?unroll (w : W.t) =
   in
   (unroll, source)
 
-(* Measure one workload on one machine configuration, compiled at [level]
-   with the workload's default unrolling. *)
-let measure_workload ?(level = Ilp.O4) ?unroll (w : W.t) (config : Config.t) =
-  let unroll, source = workload_source ?unroll w in
-  Ilp.measure ?unroll ~level config source
-
 (* ------------------------------------------------------------------ *)
 (* the two-phase sweep plan                                            *)
 
@@ -158,18 +152,20 @@ let distinct key (requests : request array) =
      unscheduled program and run the functional interpreter once with
      its recorder (Trace_buffer.capture); only the program and the flat
      trace outlive the job;
-   - phase 2: one replay job per distinct [cell_key] — schedule the
-     shared program for the cell's configuration, bind the binary to the
-     trace and replay it through a fresh [Timing.t].
+   - phase 2: one job per distinct [cell_key] — schedule the shared
+     program for the cell's configuration, bind the binary to the trace,
+     replay it through a fresh [Timing.t], and hand [cell] the request,
+     the trace, the binary and the run.
 
    Both phases fan out over the engine's domain pool (serial without
    one).  Jobs share only immutable data (the pre-scheduled program and
    the trace); every job builds its own simulator state, and each
    result is written at its cell's index, so the output is bit-identical
-   whatever the parallelism. *)
-let run_sweep (requests : request array) : Metrics.run array =
+   whatever the parallelism.  Requests that share a cell share its
+   result. *)
+let sweep cell (requests : request array) =
   let group, group_firsts = distinct capture_key requests in
-  let cell, cell_firsts = distinct cell_key requests in
+  let cells, cell_firsts = distinct cell_key requests in
   let check = !checks in
   let captures =
     par_map
@@ -186,7 +182,7 @@ let run_sweep (requests : request array) : Metrics.run array =
         (pre, Ilp_sim.Trace_buffer.capture pre))
       group_firsts
   in
-  let runs =
+  let results =
     par_map
       (fun i ->
         let r = requests.(i) in
@@ -202,14 +198,20 @@ let run_sweep (requests : request array) : Metrics.run array =
                 ~penalty:g.penalty ())
             r.rq_cache
         in
-        Metrics.measure_prepared ?cache r.rq_config
-          (Ilp_sim.Trace_buffer.bind trace binary))
+        cell r trace binary
+          (Metrics.measure_prepared ?cache r.rq_config
+             (Ilp_sim.Trace_buffer.bind trace binary)))
       cell_firsts
   in
-  Array.mapi
-    (fun i r ->
-      { runs.(cell.(i)) with Metrics.machine = r.rq_config.Config.name })
+  Array.map (fun c -> results.(c)) cells
+
+(* Every cell's run, under its own request's machine name. *)
+let run_sweep (requests : request array) : Metrics.run array =
+  Array.map2
+    (fun r (run : Metrics.run) ->
+      { run with Metrics.machine = r.rq_config.Config.name })
     requests
+    (sweep (fun _ _ _ run -> run) requests)
 
 (* Measure one workload on many machine configurations through the
    plan: one capture per register-split group, one replay per
@@ -218,14 +220,6 @@ let measure_workload_many ?level ?unroll (w : W.t) (configs : Config.t list) =
   Array.to_list
     (run_sweep
        (Array.of_list (List.map (request ?level ?unroll w) configs)))
-
-let suite_speedups ?level config =
-  List.map
-    (fun w -> (measure_workload ?level w config).Metrics.speedup)
-    Registry.all
-
-let harmonic_suite ?level config =
-  Metrics.harmonic_mean (suite_speedups ?level config)
 
 (* Harmonic-mean suite speedup of each configuration: one flat sweep
    over (workload x configuration), so phase 1 is one capture per
@@ -367,30 +361,19 @@ type fig4_1 = {
   superpipelined : float;
 }
 
-(* [`Replay] captures each workload once and replays it against all 16
-   machine configurations; [`Direct] re-executes per configuration (kept
-   for the bench harness's direct-vs-replay wall-clock comparison). *)
-let fig4_1 ?(engine = `Replay) () =
-  match engine with
-  | `Direct ->
-      List.map
-        (fun d ->
-          { degree = d;
-            superscalar = harmonic_suite (Presets.superscalar d);
-            superpipelined = harmonic_suite (Presets.superpipelined d);
-          })
-        degrees
-  | `Replay ->
-      let ss = List.map Presets.superscalar degrees in
-      let sp = List.map Presets.superpipelined degrees in
-      let means = harmonic_suite_many (ss @ sp) in
-      List.mapi
-        (fun k d ->
-          { degree = d;
-            superscalar = means.(k);
-            superpipelined = means.(List.length degrees + k);
-          })
-        degrees
+(* One capture per workload, replayed against all 16 machine
+   configurations. *)
+let fig4_1 () =
+  let ss = List.map Presets.superscalar degrees in
+  let sp = List.map Presets.superpipelined degrees in
+  let means = harmonic_suite_many (ss @ sp) in
+  List.mapi
+    (fun k d ->
+      { degree = d;
+        superscalar = means.(k);
+        superpipelined = means.(List.length degrees + k);
+      })
+    degrees
 
 let render_fig4_1 () =
   let rows = fig4_1 () in
@@ -907,11 +890,8 @@ let sec5_1 () =
     simulated_speedup_with_cache =
       narrow_c.Metrics.base_cycles /. wide_c.Metrics.base_cycles;
     simulated_miss_rate =
-      (* re-measure the miss rate on its own cache *)
-      (let cache = Ilp_sim.Cache.create ~lines:64 ~line_words:4 ~penalty:12 () in
-       let program = Ilp.compile ~level:Ilp.O4 narrow w.W.source in
-       ignore (Metrics.measure ~cache narrow program);
-       Ilp_sim.Cache.miss_rate cache);
+      float_of_int narrow_c.Metrics.cache_misses
+      /. float_of_int (max 1 narrow_c.Metrics.cache_accesses);
   }
 
 let render_sec5_1 () =
@@ -1049,9 +1029,9 @@ fun main() {
 
 let sec2_3_vector () =
   let elements = 16.0 *. 512.0 in
-  let cycles config =
-    let r = Ilp.measure ~level:Ilp.O4 config vector_loop_source in
-    r.Metrics.base_cycles
+  let loop =
+    W.make ~description:"chained vector reduction" "vector_loop"
+      vector_loop_source
   in
   (* a 4-issue machine with one unit each for fixed-point, FP, memory
      and control: exactly the paper's hypothetical *)
@@ -1070,8 +1050,11 @@ let sec2_3_vector () =
            one_unit "mem" [ Iclass.Load; Iclass.Store ];
            one_unit "ctl" [ Iclass.Branch; Iclass.Jump ] ])
   in
-  { base_cycles_per_element = cycles Presets.base /. elements;
-    superscalar_cycles_per_element = cycles vector_equiv /. elements;
+  let runs =
+    run_sweep [| request loop Presets.base; request loop vector_equiv |]
+  in
+  { base_cycles_per_element = runs.(0).Metrics.base_cycles /. elements;
+    superscalar_cycles_per_element = runs.(1).Metrics.base_cycles /. elements;
   }
 
 let render_sec2_3_vector () =
@@ -1096,24 +1079,17 @@ type issue_histogram = { bench : string; buckets : float array }
 
 let issue_histogram ?(width = 4) () =
   let config = Presets.superscalar width in
-  List.map
-    (fun w ->
-      let unroll, source = workload_source w in
-      let program = Ilp.compile ?unroll ~level:Ilp.O4 config source in
-      let timing = Ilp_sim.Timing.create config in
-      let _ =
-        Ilp_sim.Exec.run ~observer:(Ilp_sim.Timing.observer timing) program
-      in
-      Ilp_sim.Timing.finish timing;
-      let total =
-        float_of_int
-          (Array.fold_left ( + ) 0 timing.Ilp_sim.Timing.issue_histogram)
-      in
+  let runs =
+    run_sweep
+      (Array.of_list (List.map (fun w -> request w config) Registry.all))
+  in
+  List.mapi
+    (fun k (w : W.t) ->
+      let histogram = runs.(k).Metrics.issue_histogram in
+      let total = float_of_int (Array.fold_left ( + ) 0 histogram) in
       { bench = w.W.name;
         buckets =
-          Array.map
-            (fun c -> 100.0 *. float_of_int c /. total)
-            timing.Ilp_sim.Timing.issue_histogram;
+          Array.map (fun c -> 100.0 *. float_of_int c /. total) histogram;
       })
     Registry.all
 
@@ -1309,19 +1285,14 @@ let rangedep_study () =
 (* ------------------------------------------------------------------ *)
 (* Static per-loop ILP bounds vs measured ILP (extension)               *)
 
-(* For each (benchmark, machine) cell, compile the scheduled binary,
-   derive static recurrence and resource bounds for every innermost
-   loop (Static_bound), then run the program ONCE with the timing
-   observer and the loop-iteration counter attached to the same
-   functional pass.  The static bounds give a lower bound on minor
-   cycles — and hence an upper bound on ILP — that the measured run
-   must respect: the experiment hard-fails if measured cycles ever dip
-   below the static floor, making every rendering of this figure a
-   soundness check of the bound derivation.
-
-   Trace replay does not drive instruction observers, so this study
-   measures directly (one execution per cell) rather than through the
-   capture/replay sweep machinery. *)
+(* For each (benchmark, machine) cell, schedule the binary, derive
+   static recurrence and resource bounds for every innermost loop
+   (Static_bound), and count each loop's back-edge traversals and
+   entries from the cell's captured trace.  The static bounds give a
+   lower bound on minor cycles — and hence an upper bound on ILP — that
+   the measured run must respect: the experiment hard-fails if measured
+   cycles ever dip below the static floor, making every rendering of
+   this figure a soundness check of the bound derivation. *)
 
 type static_bound_row = {
   sb_bench : string;
@@ -1341,46 +1312,49 @@ let static_bounds_presets () =
     Presets.multititan;
     Presets.cray1 () ]
 
-let static_bounds_cell config (w : W.t) =
-  let unroll, source = workload_source w in
-  let program = Ilp.compile ?unroll ~memdep:true ~level:Ilp.O4 config source in
-  let sb = Ilp_sched.Static_bound.analyze config program in
-  let counters = Ilp_sched.Static_bound.counters sb in
-  let timing = Ilp_sim.Timing.create config in
-  let outcome =
-    Ilp_sim.Exec.run
-      ~observers:
-        [ Ilp_sim.Timing.observer timing;
-          Ilp_sched.Static_bound.observer counters ]
-      program
-  in
-  Ilp_sim.Timing.finish timing;
-  let measured = Ilp_sim.Timing.minor_cycles timing in
+module SB = Ilp_sched.Static_bound
+
+(* Each loop's back-edge traversals and entries in [trace]'s run, in
+   the order of [sb.bounds]; [sb] may analyze any schedule-sibling of
+   the captured program. *)
+let loop_counts trace (sb : SB.t) =
+  List.map
+    (fun (traversals, entries) -> { SB.traversals; entries })
+    (Ilp_sim.Trace_buffer.loop_counts trace
+       (List.map
+          (fun (b : SB.loop_bound) ->
+            (b.SB.sb_header_first, b.SB.sb_latch_lasts))
+          sb.SB.bounds))
+
+(* One cell's row, from the sweep's trace, binary and run. *)
+let static_bounds_cell r trace binary (run : Metrics.run) =
+  let config = r.rq_config in
+  let sb = SB.analyze config binary in
+  let counts = loop_counts trace sb in
+  let measured = run.Metrics.minor_cycles in
   let floor =
-    Ilp_sched.Static_bound.cycles_lb config sb counters
-      ~dyn_instrs:outcome.Ilp_sim.Exec.dyn_instrs
-      ~class_counts:outcome.Ilp_sim.Exec.class_counts
+    SB.cycles_lb config sb counts ~dyn_instrs:run.Metrics.dyn_instrs
+      ~class_counts:run.Metrics.class_counts
   in
   if measured < floor then
     failwith
       (Printf.sprintf
          "static bound unsound: %s on %s measured %d minor cycles < static \
           floor %d"
-         w.W.name config.Config.name measured floor);
+         r.rq_workload.W.name config.Config.name measured floor);
   let per_base cycles =
-    float_of_int outcome.Ilp_sim.Exec.dyn_instrs
+    float_of_int run.Metrics.dyn_instrs
     *. float_of_int config.Config.pipe_degree
     /. float_of_int (max 1 cycles)
   in
-  { sb_bench = w.W.name;
+  { sb_bench = r.rq_workload.W.name;
     sb_machine = config.Config.name;
     sb_loops =
       List.length
         (List.filter
-           (fun (b : Ilp_sched.Static_bound.loop_bound) ->
-             b.Ilp_sched.Static_bound.sb_recurrence > 0
-             && Ilp_sched.Static_bound.traversals counters b > 0)
-           sb.Ilp_sched.Static_bound.bounds);
+           (fun ((b : SB.loop_bound), (c : SB.counts)) ->
+             b.SB.sb_recurrence > 0 && c.SB.traversals > 0)
+           (List.combine sb.SB.bounds counts));
     sb_measured_cycles = measured;
     sb_floor_cycles = floor;
     sb_measured_ilp = per_base measured;
@@ -1388,9 +1362,14 @@ let static_bounds_cell config (w : W.t) =
   }
 
 let static_bounds () =
-  List.concat_map
-    (fun config -> List.map (static_bounds_cell config) Registry.all)
-    (static_bounds_presets ())
+  let requests =
+    Array.of_list
+      (List.concat_map
+         (fun config ->
+           List.map (fun w -> request ~memdep:true w config) Registry.all)
+         (static_bounds_presets ()))
+  in
+  Array.to_list (sweep static_bounds_cell requests)
 
 let render_static_bounds () =
   let rows = static_bounds () in

@@ -222,8 +222,10 @@ let compile ?unroll ?check ?memdep ?ranges ?on_pass ~level (config : Config.t)
   schedule ?check ?memdep ?ranges ?on_pass ~level config
     (compile_unscheduled ?unroll ?check ?on_pass ~level config source)
 
-(* Compile and measure in one step. *)
+(* Compile, capture and replay in one step. *)
 let measure ?unroll ?(level = O4) ?memdep ?ranges ?cache ?options
     (config : Config.t) source =
   let program = compile ?unroll ?memdep ?ranges ~level config source in
-  Ilp_sim.Metrics.measure ?cache ?options config program
+  Ilp_sim.Metrics.measure_replay ?cache ?options config
+    (Ilp_sim.Trace_buffer.capture ?options program)
+    program

@@ -146,4 +146,5 @@ val measure :
   Config.t ->
   string ->
   Ilp_sim.Metrics.run
-(** Compile (default O4) and measure in one step. *)
+(** Compile (default O4) and measure in one step: capture the binary's
+    trace and replay it ({!Ilp_sim.Metrics.measure_replay}). *)

@@ -29,7 +29,7 @@
 
    The whole-run floor combines the global resource bound over the
    dynamic stream with the per-loop recurrence bounds scaled by
-   observed back-edge traversals: within one loop entry, [k] traversals
+   measured back-edge traversals: within one loop entry, [k] traversals
    chain [k-1] recurrence delays, and distinct innermost-loop regions
    of the dynamic stream never overlap under in-order issue, so the
    contributions add. *)
@@ -52,7 +52,6 @@ type loop_bound = {
 
 type t = { bounds : loop_bound list }
 
-module IntMap = Map.Make (Int)
 module IntSet = Set.Make (Int)
 
 let lat config (i : Instr.t) = Config.latency config (Instr.iclass i)
@@ -279,54 +278,9 @@ let analyze config (p : Program.t) =
   in
   { bounds = List.rev bounds }
 
-(* ---- dynamic iteration counting ----------------------------------- *)
+(* ---- dynamic iteration counts ------------------------------------- *)
 
-type counters = {
-  (* header-first instr id -> index into the arrays below *)
-  heads : (int, int) Hashtbl.t;
-  latch_sets : IntSet.t array;
-  trav : int array;
-  entr : int array;
-  by_loop : (string * string, int) Hashtbl.t;  (* (func, header) -> index *)
-  mutable prev : int;
-}
-
-let counters t =
-  let n = List.length t.bounds in
-  let heads = Hashtbl.create n in
-  let by_loop = Hashtbl.create n in
-  let latch_sets = Array.make (max n 1) IntSet.empty in
-  List.iteri
-    (fun k (b : loop_bound) ->
-      Hashtbl.replace heads b.sb_header_first k;
-      Hashtbl.replace by_loop (b.sb_func, b.sb_header) k;
-      latch_sets.(k) <- IntSet.of_list b.sb_latch_lasts)
-    t.bounds;
-  { heads;
-    latch_sets;
-    trav = Array.make (max n 1) 0;
-    entr = Array.make (max n 1) 0;
-    by_loop;
-    prev = -1;
-  }
-
-let observer c (i : Instr.t) (_addr : int) =
-  let id = i.Instr.id in
-  (match Hashtbl.find_opt c.heads id with
-  | Some k ->
-      if IntSet.mem c.prev c.latch_sets.(k) then c.trav.(k) <- c.trav.(k) + 1
-      else c.entr.(k) <- c.entr.(k) + 1
-  | None -> ());
-  c.prev <- id
-
-let index_of c (b : loop_bound) =
-  Hashtbl.find_opt c.by_loop (b.sb_func, b.sb_header)
-
-let traversals c b =
-  match index_of c b with Some k -> c.trav.(k) | None -> 0
-
-let entries c b =
-  match index_of c b with Some k -> c.entr.(k) | None -> 0
+type counts = { traversals : int; entries : int }
 
 (* ---- whole-run cycle floor ----------------------------------------- *)
 
@@ -348,16 +302,16 @@ let resource_floor config ~dyn_instrs ~class_counts =
     class_counts;
   max !floor 0
 
-let recurrence_cycles t c =
-  List.fold_left
-    (fun acc (b : loop_bound) ->
+let recurrence_cycles t counts =
+  List.fold_left2
+    (fun acc (b : loop_bound) c ->
       if b.sb_recurrence = 0 then acc
       else
-        let chains = max 0 (traversals c b - entries c b) in
+        let chains = max 0 (c.traversals - c.entries) in
         acc + (chains * b.sb_recurrence))
-    0 t.bounds
+    0 t.bounds counts
 
-let cycles_lb config t c ~dyn_instrs ~class_counts =
+let cycles_lb config t counts ~dyn_instrs ~class_counts =
   max
     (resource_floor config ~dyn_instrs ~class_counts)
-    (recurrence_cycles t c)
+    (recurrence_cycles t counts)

@@ -23,9 +23,11 @@
     capacity); memory ordering, which the timing model does not model,
     contributes nothing.
 
-    Dynamic iteration counts come from an execution observer that
-    recognises back-edge traversals as (latch-last, header-first)
-    adjacent instruction pairs in the dynamic stream. *)
+    Dynamic iteration counts come from outside: a back-edge traversal
+    is a (latch-last, header-first) adjacent instruction pair in the
+    dynamic stream, and [Ilp_sim.Trace_buffer.loop_counts] counts them
+    from a captured trace's segment visits, given
+    [sb_header_first] and [sb_latch_lasts]. *)
 
 open Ilp_ir
 open Ilp_machine
@@ -57,18 +59,14 @@ val analyze : Config.t -> Program.t -> t
 (** The program must be the binary that will run: bounds are derived
     from the scheduled instruction order. *)
 
-(** {1 Dynamic iteration counting} *)
+(** {1 Dynamic iteration counts} *)
 
-type counters
-
-val counters : t -> counters
-
-val observer : counters -> Instr.t -> int -> unit
-(** Feed to {!Ilp_sim.Exec.run} (it has the executor's observer shape):
-    counts back-edge traversals and loop entries per loop. *)
-
-val traversals : counters -> loop_bound -> int
-val entries : counters -> loop_bound -> int
+type counts = {
+  traversals : int;  (** back-edge traversals: latch-last then header-first *)
+  entries : int;  (** header visits not reached from a latch *)
+}
+(** One loop's counts in one run.  The functions below take one [counts]
+    per loop, in the order of [t.bounds]. *)
 
 (** {1 Whole-run cycle floor} *)
 
@@ -76,11 +74,12 @@ val resource_floor : Config.t -> dyn_instrs:int -> class_counts:int array -> int
 (** Minor cycles the whole dynamic stream needs from issue width and
     unit capacity alone. *)
 
-val recurrence_cycles : t -> counters -> int
+val recurrence_cycles : t -> counts list -> int
 (** Sum over innermost loops of (traversals - entries) times the loop's
     recurrence bound — cycles forced by loop-carried register chains. *)
 
-val cycles_lb : Config.t -> t -> counters -> dyn_instrs:int -> class_counts:int array -> int
+val cycles_lb :
+  Config.t -> t -> counts list -> dyn_instrs:int -> class_counts:int array -> int
 (** The combined lower bound on measured minor cycles: the larger of
     {!resource_floor} and {!recurrence_cycles}.  Every measured run of
     the same binary on the same configuration must satisfy

@@ -1,12 +1,11 @@
 (* Functional execution of IR programs.
 
    The executor interprets any validated program — still in virtual
-   registers or fully register-allocated — and drives an observer
+   registers or fully register-allocated — and can drive an observer
    callback with every executed instruction, in program order.  Timing
-   models, instruction-mix counters and cache simulators all consume
-   this dynamic stream, so one functional pass can feed several
-   observers at once; the differential oracle runs every pass snapshot
-   through the same loop without allocating it first.
+   is not one of its observers: measurements record the run's flat
+   trace (below) and replay it.  The differential oracle runs every
+   pass snapshot through the same loop without allocating it first.
 
    Machine state: a physical register file, a word-addressed memory
    (globals low, stack high), and a return-address stack managed by
@@ -752,25 +751,16 @@ let execute ~options ~observer ~on_branch ~on_store ~recorder (p : Program.t)
     },
     lay )
 
-(* fan every executed instruction out to all observers in one pass *)
-let fan_out observer observers =
-  match (Option.to_list observer @ observers : observer list) with
-  | [] -> nothing_observer
-  | [ f ] -> f
-  | fs -> fun i addr -> List.iter (fun f -> f i addr) fs
+let run ?(options = default_options) ?(observer = nothing_observer)
+    ?on_branch ?on_store (p : Program.t) : outcome =
+  fst (execute ~options ~observer ~on_branch ~on_store ~recorder:None p)
 
-let run ?(options = default_options) ?observer ?(observers = []) ?on_branch
-    ?on_store (p : Program.t) : outcome =
-  fst
-    (execute ~options ~observer:(fan_out observer observers) ~on_branch
-       ~on_store ~recorder:None p)
-
-let record ?(options = default_options) ?(observers = []) (p : Program.t) =
+let record ?(options = default_options) (p : Program.t) =
   if options.mem_words > 1 lsl 31 then
     invalid_arg "Exec.record: addresses beyond 2^31 words";
   let rc = { vis = new_chunks chunk; adr = new_chunks chunk } in
   let outcome, layout =
-    execute ~options ~observer:(fan_out None observers) ~on_branch:None
+    execute ~options ~observer:nothing_observer ~on_branch:None
       ~on_store:None ~recorder:(Some rc) p
   in
   ( outcome,

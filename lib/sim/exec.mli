@@ -1,10 +1,10 @@
 (** Functional execution of IR programs.
 
     The executor interprets any validated program, still in virtual
-    registers or fully register-allocated, and drives an observer with
-    every executed instruction in program order; timing models, mix
-    counters and cache simulators all consume this dynamic stream, so
-    one functional pass can feed several observers at once.
+    registers or fully register-allocated, and can drive an observer
+    with every executed instruction in program order.  Measurements do
+    not observe the run: they record its flat trace ({!record}) and
+    replay it through the timing model ({!Trace_buffer}).
 
     Machine state: a physical register file, a word-addressed memory
     (globals low, stack high), and a return-address stack managed by
@@ -66,22 +66,19 @@ type outcome = {
   regs : Value.t array;  (** final physical register file *)
 }
 
-val nothing_observer : observer
-
 val run :
   ?options:options ->
   ?observer:observer ->
-  ?observers:observer list ->
   ?on_branch:(Instr.t -> bool -> unit) ->
   ?on_store:(Instr.t -> int -> Value.t -> unit) ->
   Program.t ->
   outcome
 (** Execute from ["main"] until [halt] (or a return with an empty call
     stack).  Control entering an empty block, the entry block of [main]
-    included, falls through to the next block with instructions.  All
-    of [observer] and [observers] are driven by the same functional
-    pass; [on_branch] additionally reports the outcome of every executed
-    conditional branch, after the observers, and
+    included, falls through to the next block with instructions.
+    [observer] sees every executed instruction; [on_branch]
+    additionally reports the outcome of every executed conditional
+    branch, after the observer, and
     [on_store instr addr value] every executed store with its effective
     address and stored value (the differential oracle compares these
     dynamic store streams across compilation stages).
@@ -141,8 +138,7 @@ type recording = {
 }
 (** A run's flat trace: exact-size arrays outside the OCaml heap. *)
 
-val record :
-  ?options:options -> ?observers:observer list -> Program.t -> outcome * recording
+val record : ?options:options -> Program.t -> outcome * recording
 (** {!run}, also recording the number of every segment control enters
     and every effective address, in execution order.  The loop appends
     them to off-heap chunks as it runs; the chunks are joined once at

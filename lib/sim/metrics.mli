@@ -1,4 +1,9 @@
-(** Measurement helpers shared by the experiment harness. *)
+(** Measurement helpers shared by the experiment harness.
+
+    Every measurement replays a captured trace ({!Trace_buffer}): a
+    binary is timed by capturing it, or a schedule-sibling of it, once
+    and replaying the trace over the binary through a fresh
+    {!Timing.t}. *)
 
 open Ilp_machine
 
@@ -12,19 +17,14 @@ type run = {
           equal to the speedup over the base machine running the same
           binary *)
   stall_cycles : int;
+  issue_histogram : int array;
+      (** [issue_histogram.(k)]: minor cycles that issued exactly [k]
+          instructions; sums to [minor_cycles] *)
+  cache_accesses : int;  (** data-cache accesses; 0 without a cache *)
+  cache_misses : int;  (** data-cache misses; 0 without a cache *)
   class_counts : int array;  (** dynamic count per instruction class *)
   sink : Value.t;  (** final checksum *)
 }
-
-val measure :
-  ?cache:Cache.t ->
-  ?options:Exec.options ->
-  Config.t ->
-  Ilp_ir.Program.t ->
-  run
-(** Execute [program] once, timed against [config].  The program must be
-    fully register-allocated (and normally scheduled for [config])
-    beforehand. *)
 
 val measure_replay :
   ?cache:Cache.t ->
@@ -33,11 +33,11 @@ val measure_replay :
   Trace_buffer.t ->
   Ilp_ir.Program.t ->
   run
-(** Time [program] against [config] by replaying a captured trace
-    instead of re-interpreting.  Bit-identical to {!measure} of the same
-    program when the trace was captured from a schedule-sibling of
-    [program] (raises {!Trace_buffer.Divergence} otherwise);
-    [options] only contributes the register-file size.  Same as
+(** Time [program] against [config] by replaying a trace captured from
+    it or from a schedule-sibling of it (raises
+    {!Trace_buffer.Divergence} otherwise).  The program must be fully
+    register-allocated (and normally scheduled for [config]); [options]
+    only contributes the register-file size.  Same as
     {!measure_prepared} of {!Trace_buffer.bind}. *)
 
 val measure_prepared :
@@ -49,9 +49,6 @@ val measure_prepared :
 (** Time a binary already bound to a trace ({!Trace_buffer.bind})
     against [config]: the sweep engine captures each program once and
     binds every schedule of it. *)
-
-val class_frequencies : run -> Superpipelining.frequencies
-(** The run's dynamic instruction-class mix, as fractions. *)
 
 val harmonic_mean : float list -> float
 (** Raises [Invalid_argument] on an empty list.  The paper's summary

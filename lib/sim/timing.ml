@@ -38,36 +38,19 @@
    property test holds the two equal.  The path is plain loops over
    arrays and allocates nothing per instruction.
 
-   Every instruction goes through one issue step.  [issue] and
-   [issue_decoded] call it once per instruction; [replay_flat] is the
-   loop over a trace's flat form (issue segments, see Trace_buffer),
-   with the step inlined.  That loop lives here rather than next to the
-   trace because the dev profile compiles with [-opaque], and from
-   another module every instruction would reach the step through a
-   generic application. *)
+   Every instruction goes through one issue step.  [replay_flat] is
+   the loop over a trace's flat form (issue segments, see
+   Trace_buffer), with the step inlined: it is how every measurement is
+   timed.  That loop lives here rather than next to the trace because
+   the dev profile compiles with [-opaque], and from another module
+   every instruction would reach the step through a generic
+   application.  [issue] and [issue_decoded] call the same step once
+   per instruction, for pipeline diagrams and tests. *)
 
 open Ilp_ir
 open Ilp_machine
 
 type unit_pool = { spec : Config.unit_spec; free_at : int array }
-
-(* Pre-decoded fields of one static instruction: what [issue_decoded]
-   consumes.  Decoding allocates (list maps plus [Array.of_list]), so
-   the direct path memoizes it per [Instr.id] instead of paying it for
-   every dynamic instruction. *)
-type decoded = {
-  d_cls : Iclass.t;
-  d_is_load : bool;
-  d_defs : int array;
-  d_uses : int array;
-}
-
-module Int_table = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-  let hash = Hashtbl.hash
-end)
 
 type t = {
   config : Config.t;
@@ -86,9 +69,6 @@ type t = {
           instructions, recorded as cycles close *)
   mutable force_cycle_end : bool;
   mutable finished : bool;
-  decoded : decoded Int_table.t;
-      (** per-static-instruction decode memo for the direct path, keyed
-          by [Instr.id]; replay pre-decodes its whole binary instead *)
 }
 
 let create ?cache ?(registers = Exec.default_options.Exec.registers)
@@ -118,7 +98,6 @@ let create ?cache ?(registers = Exec.default_options.Exec.registers)
     issue_histogram = Array.make (config.Config.issue_width + 1) 0;
     force_cycle_end = false;
     finished = false;
-    decoded = Int_table.create 512;
   }
 
 (* Close the open cycle and move to cycle [c > t.now]: the open cycle
@@ -149,15 +128,15 @@ let[@inline never] cache_latency t cache ~is_load base addr =
 
 (* The issue step: account one dynamic instruction.  Every path goes
    through it — [issue], [issue_decoded] and the flat replay loop
-   [replay_flat] — so direct observation and trace replay produce
-   identical timing.  [cls] is the class index and [control] whether the
-   class is a control transfer; the destination register indices are
-   [defs.(d0 .. d0 + nd - 1)] and the source ones [uses.(u0 .. u0 + nu -
-   1)], two arrays for a decoded instruction and one flat register list
-   for replay code; [addr] is the effective address of a memory
-   operation or -1.  This is the hot path: plain loops, no closure and
-   no allocation.  It is inlined into its callers, so the replay loop
-   runs it without a call or the argument spills around one. *)
+   [replay_flat] — so all three produce identical timing.  [cls] is the
+   class index and [control] whether the class is a control transfer;
+   the destination register indices are [defs.(d0 .. d0 + nd - 1)] and
+   the source ones [uses.(u0 .. u0 + nu - 1)], two arrays for a decoded
+   instruction and one flat register list for replay code; [addr] is
+   the effective address of a memory operation or -1.  This is the hot
+   path: plain loops, no closure and no allocation.  It is inlined into
+   its callers, so the replay loop runs it without a call or the
+   argument spills around one. *)
 let[@inline] step t ~cls ~is_load ~control (defs : int array) d0 nd
     (uses : int array) u0 nu addr =
   let latency =
@@ -295,29 +274,13 @@ let replay_flat t (code : flat_code) (visits : visits) (addrs : addresses) =
 
 let reg_indices regs = Array.of_list (List.map Reg.index regs)
 
-let decode (i : Instr.t) =
-  { d_cls = Instr.iclass i;
-    d_is_load = Instr.is_load i;
-    d_defs = reg_indices (Instr.defs i);
-    d_uses = reg_indices (Instr.uses i);
-  }
-
-(* Account one dynamic instruction; [addr] is the effective address of a
-   memory operation or -1.  The decode is memoized per static
-   instruction, so a hot loop pays it once, not once per iteration. *)
+(* Account one dynamic instruction, decoding it on the spot; [addr] is
+   the effective address of a memory operation or -1. *)
 let issue t (i : Instr.t) addr =
-  let d =
-    match Int_table.find_opt t.decoded i.Instr.id with
-    | Some d -> d
-    | None ->
-        let d = decode i in
-        Int_table.add t.decoded i.Instr.id d;
-        d
-  in
-  issue_decoded t ~cls:d.d_cls ~is_load:d.d_is_load ~defs:d.d_defs
-    ~uses:d.d_uses addr
-
-let observer t : Exec.observer = fun i addr -> issue t i addr
+  issue_decoded t ~cls:(Instr.iclass i) ~is_load:(Instr.is_load i)
+    ~defs:(reg_indices (Instr.defs i))
+    ~uses:(reg_indices (Instr.uses i))
+    addr
 
 (* Total time: the cycle of the last issue plus the drain of the deepest
    outstanding result.  Once [finish] has closed the books, [t.now]

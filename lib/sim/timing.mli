@@ -33,24 +33,14 @@
     outcome is exactly that of stepping one minor cycle at a time, and
     the path allocates nothing per instruction.
 
-    {!issue}, {!issue_decoded} and the flat replay loop {!replay_flat}
-    share one issue step, so direct observation and trace replay give
-    identical timing. *)
+    Every measurement is timed by the flat replay loop {!replay_flat}
+    over a captured trace.  {!issue} and {!issue_decoded} take one
+    instruction at a time through the same issue step, for pipeline
+    diagrams and tests. *)
 
 open Ilp_machine
 
 type unit_pool = { spec : Config.unit_spec; free_at : int array }
-
-(** Pre-decoded fields of one static instruction (see {!issue_decoded});
-    the direct path memoizes these per [Instr.id]. *)
-type decoded = {
-  d_cls : Ilp_ir.Iclass.t;
-  d_is_load : bool;
-  d_defs : int array;
-  d_uses : int array;
-}
-
-module Int_table : Hashtbl.S with type key = int
 
 type t = {
   config : Config.t;
@@ -69,8 +59,6 @@ type t = {
           [k] instructions *)
   mutable force_cycle_end : bool;
   mutable finished : bool;  (** set by {!finish} *)
-  decoded : decoded Int_table.t;
-      (** per-static-instruction decode memo used by {!issue} *)
 }
 
 val create : ?cache:Cache.t -> ?registers:int -> Config.t -> t
@@ -78,9 +66,10 @@ val create : ?cache:Cache.t -> ?registers:int -> Config.t -> t
     defaults to [Exec.default_options.registers]. *)
 
 val issue : t -> Ilp_ir.Instr.t -> int -> unit
-(** Account one dynamic instruction; the second argument is the
-    effective address of a memory operation or [-1].  After the call,
-    [t.now] is the minor cycle the instruction issued in. *)
+(** Account one dynamic instruction, decoding it on the spot; the
+    second argument is the effective address of a memory operation or
+    [-1].  After the call, [t.now] is the minor cycle the instruction
+    issued in. *)
 
 val issue_decoded :
   t ->
@@ -152,8 +141,6 @@ val replay_flat : t -> flat_code -> visits -> addresses -> unit
 (** Issue every dynamic instruction of the trace: each visit's segment
     slot by slot, in visit order.  Each instruction goes through the
     same issue step as {!issue_decoded}. *)
-
-val observer : t -> Exec.observer
 
 val minor_cycles : t -> int
 (** Total time: the last issue cycle plus the drain of the deepest

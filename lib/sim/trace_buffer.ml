@@ -20,7 +20,9 @@
    appends the number of every segment it enters and the effective
    address of every load and store to off-heap chunks, which end up as
    two exact-size arrays outside the OCaml heap.  That is the whole
-   trace, plus the run summary (dynamic count, checksum, class mix).
+   trace, plus the run summary (dynamic count, checksum, class mix,
+   per-function counts).  The visit sequence also yields each loop's
+   back-edge traversals and entries ([loop_counts]).
 
    [bind] lays one scheduled binary over the trace: it checks that
    every instruction stays in its segment, once, and that control
@@ -44,6 +46,7 @@ type summary = {
   s_dyn_instrs : int;
   s_sink : Value.t;
   s_class_counts : int array;
+  s_per_function : (string * int) list;
 }
 
 (* How control leaves an issue segment: the kind of its last
@@ -135,19 +138,20 @@ let make summary sh visits addrs =
     addr_seq = addrs;
   }
 
-let capture ?options ?observers (p : Program.t) =
-  let outcome, rc = Exec.record ?options ?observers p in
+let capture ?options (p : Program.t) =
+  let outcome, rc = Exec.record ?options p in
   make
     { s_dyn_instrs = outcome.Exec.dyn_instrs;
       s_sink = outcome.Exec.sink;
       s_class_counts = outcome.Exec.class_counts;
+      s_per_function = outcome.Exec.per_function;
     }
     (shape_of_layout rc.Exec.layout)
     rc.Exec.visits rc.Exec.addresses
 
 let dyn_instrs t = t.summary.s_dyn_instrs
 let sink t = t.summary.s_sink
-let class_counts t = t.summary.s_class_counts
+let per_function t = t.summary.s_per_function
 
 type stats = { visits : int; addresses : int; dyn : int; bytes : int }
 
@@ -159,6 +163,46 @@ let stats t =
     bytes = 4 * (visits + addresses) }
 
 let byte_size t = (stats t).bytes
+
+(* ---- loop counts ------------------------------------------------------ *)
+
+(* A loop is given by instruction ids: its header's first instruction
+   and each latch's last one.  The first always starts a segment and the
+   last always ends one, in every schedule, so the dynamic instruction
+   before a visit of the header's segment is a latch's last exactly when
+   the visit before it is of that latch's segment.  One pass over the
+   visits counts, per loop, the header visits that follow a latch visit
+   (back-edge traversals) and the others (entries).  When two loops
+   share a header instruction, the later one in [loops] gets its
+   visits. *)
+let loop_counts t loops =
+  let seg id =
+    match Int_table.find_opt t.pos_of_id id with
+    | Some k -> t.seg_of_slot.(k)
+    | None -> -1
+  in
+  let loops = Array.of_list loops in
+  let head_of = Array.make (Array.length t.seg_mem) (-1) in
+  let latches =
+    Array.mapi
+      (fun k (header_first, latch_lasts) ->
+        let s = seg header_first in
+        if s >= 0 then head_of.(s) <- k;
+        List.map seg latch_lasts)
+      loops
+  in
+  let traversals = Array.make (Array.length loops) 0 in
+  let entries = Array.make (Array.length loops) 0 in
+  let prev = ref (-1) in
+  for v = 0 to Bigarray.Array1.dim t.visit_seq - 1 do
+    let s = Int32.to_int t.visit_seq.{v} in
+    let k = head_of.(s) in
+    if k >= 0 then
+      if List.mem !prev latches.(k) then traversals.(k) <- traversals.(k) + 1
+      else entries.(k) <- entries.(k) + 1;
+    prev := s
+  done;
+  List.init (Array.length loops) (fun k -> (traversals.(k), entries.(k)))
 
 (* ---- binding --------------------------------------------------------- *)
 

@@ -19,10 +19,10 @@
     lives in {!Timing}, next to the issue step it shares with
     {!Timing.issue}, because the dev profile compiles with [-opaque] and
     a loop here would reach the step through a generic application per
-    instruction.  Replay feeds the issue step exactly the stream a
-    direct {!Timing.observer} would, so the resulting timing — cycles,
-    stalls, histogram, cache behaviour — is bit-identical to a direct
-    measurement of the same binary. *)
+    instruction.  Replay feeds the issue step exactly the dynamic
+    stream of the bound binary, in execution order, so the resulting
+    timing — cycles, stalls, histogram, cache behaviour — is that of
+    the binary's own run. *)
 
 open Ilp_ir
 
@@ -35,10 +35,8 @@ type t
 (** A captured trace over its program's issue segments.  Immutable; it
     may be bound and replayed from any domain. *)
 
-val capture :
-  ?options:Exec.options -> ?observers:Exec.observer list -> Program.t -> t
-(** Execute [p] once ({!Exec.record}) and keep its flat trace.
-    Additional [observers] ride along on the same functional pass. *)
+val capture : ?options:Exec.options -> Program.t -> t
+(** Execute [p] once ({!Exec.record}) and keep its flat trace. *)
 
 val dyn_instrs : t -> int
 (** Dynamically executed instructions of the captured run. *)
@@ -46,8 +44,19 @@ val dyn_instrs : t -> int
 val sink : t -> Value.t
 (** Final checksum of the captured run. *)
 
-val class_counts : t -> int array
-(** Dynamic instruction-class counts of the captured run. *)
+val per_function : t -> (string * int) list
+(** Dynamic instructions per function of the captured run, heaviest
+    first ({!Exec.outcome}'s [per_function]). *)
+
+val loop_counts : t -> (int * int list) list -> (int * int) list
+(** [loop_counts t loops]: for each loop, given as the [Instr.id] of its
+    header block's first instruction and those of its latch blocks'
+    last instructions (in the captured program or any schedule-sibling
+    of it), the number of back-edge traversals and of entries in the
+    captured run, as [(traversals, entries)].  A visit of the header is
+    a traversal when control arrives from a latch's last instruction
+    and an entry otherwise.  A loop whose header instruction is not
+    traced counts nothing. *)
 
 type stats = {
   visits : int;  (** dynamic segment visits *)
@@ -80,11 +89,12 @@ type summary = {
   s_dyn_instrs : int;
   s_sink : Value.t;
   s_class_counts : int array;
+  s_per_function : (string * int) list;
 }
 
 val summary : prepared -> summary
-(** The captured run's dynamic instruction count, checksum and class
-    counts. *)
+(** The captured run's dynamic instruction count, checksum, class
+    counts and per-function counts. *)
 
 val run : prepared -> Timing.t -> unit
 (** Replay the whole trace over the bound binary into [timing] with

@@ -1,4 +1,5 @@
-(* Golden pins for every rendered experiment.
+(* Golden pins for every rendered experiment, and for the other
+   commands that print measurements.
 
    Each entry of [Experiments.all] is rendered through the CLI, as a
    user would, and compared byte for byte with [golden/<name>.txt].
@@ -6,7 +7,11 @@
    change in what the instrument measures.  After an intended change,
    regenerate a pin with
 
-     dune exec bin/ilp_cli.exe -- experiment NAME --jobs 2 > test/golden/NAME.txt *)
+     dune exec bin/ilp_cli.exe -- experiment NAME --jobs 2 > test/golden/NAME.txt
+
+   The command lines of [commands] are pinned the same way in
+   [cli/<name>.txt]; regenerate one by running its command line into
+   that file. *)
 
 let cli = "../bin/ilp_cli.exe"
 
@@ -22,26 +27,34 @@ let first_difference expected actual =
   in
   go 1 (String.split_on_char '\n' expected, String.split_on_char '\n' actual)
 
-let check_experiment name () =
-  if not (Sys.file_exists (golden name)) then
-    Alcotest.failf "no golden file %s for experiment %s" (golden name) name;
-  let expected = In_channel.with_open_bin (golden name) In_channel.input_all in
-  let out = Filename.temp_file ("ilp_golden_" ^ name) ".txt" in
+(* Run [args] through the CLI and compare its output with [pin]. *)
+let check_output ~pin args () =
+  if not (Sys.file_exists pin) then Alcotest.failf "no pin %s for %s" pin args;
+  let expected = In_channel.with_open_bin pin In_channel.input_all in
+  let out = Filename.temp_file "ilp_golden" ".txt" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove out with Sys_error _ -> ())
     (fun () ->
       let status =
-        Sys.command
-          (Printf.sprintf "%s experiment %s --jobs 2 > %s" cli name
-             (Filename.quote out))
+        Sys.command (Printf.sprintf "%s %s > %s" cli args (Filename.quote out))
       in
-      if status <> 0 then
-        Alcotest.failf "experiment %s exited with status %d" name status;
+      if status <> 0 then Alcotest.failf "%s exited with status %d" args status;
       let actual = In_channel.with_open_bin out In_channel.input_all in
       if not (String.equal expected actual) then
         let line, e, a = first_difference expected actual in
-        Alcotest.failf "experiment %s differs from %s at line %d:\n  want: %s\n  got:  %s"
-          name (golden name) line e a)
+        Alcotest.failf "%s differs from %s at line %d:\n  want: %s\n  got:  %s"
+          args pin line e a)
+
+let check_experiment name =
+  check_output ~pin:(golden name)
+    (Printf.sprintf "experiment %s --jobs 2" name)
+
+(* the measurement commands besides [experiment]: one pin per command
+   line, in [cli/] *)
+let commands =
+  [ ("run_whet_cray1", "run -b whet -m cray1");
+    ("run_smooth_checked", "run -b smooth -m superscalar-4 -u 4 --check --memdep");
+    ("profile_linpack", "profile -b linpack -m superscalar-4") ]
 
 (* every pin belongs to an experiment that still exists *)
 let test_no_orphans () =
@@ -58,3 +71,8 @@ let tests =
   :: List.map
        (fun (name, _) -> Alcotest.test_case name `Slow (check_experiment name))
        Ilp_core.Experiments.all
+  @ List.map
+      (fun (name, args) ->
+        Alcotest.test_case args `Quick
+          (check_output ~pin:(Filename.concat "cli" (name ^ ".txt")) args))
+      commands

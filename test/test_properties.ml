@@ -96,51 +96,50 @@ let prop_tiny_temp_pools_agree =
           String.equal (safe_sink ~config src) reference)
         [ 3; 5 ])
 
-let replay_fingerprint (r : Ilp_sim.Metrics.run) =
-  Printf.sprintf "%d/%d/%d/%.12g" r.Ilp_sim.Metrics.dyn_instrs
-    r.Ilp_sim.Metrics.minor_cycles r.Ilp_sim.Metrics.stall_cycles
-    r.Ilp_sim.Metrics.speedup
-
+(* Replay against direct timing: the reference models time the
+   scheduled binary as [Exec] runs it, and trace replay must give the
+   same run, field for field. *)
 let prop_replay_matches_direct =
   QCheck2.Test.make ~count:40
     ~name:"random programs: trace replay = direct timing"
     ~print:(fun s -> s)
     Gen_minimod.program
     (fun src ->
-      let agree ?cache_penalty config =
+      let agree ?cache config =
         try
           let level = Ilp_core.Ilp.O4 in
           let pre = Ilp_core.Ilp.compile_unscheduled ~level config src in
           let trace = Ilp_sim.Trace_buffer.capture pre in
           let binary = Ilp_core.Ilp.schedule ~level config pre in
-          let cache () =
-            Option.map
-              (fun penalty ->
-                Ilp_sim.Cache.create ~lines:16 ~line_words:4 ~penalty ())
-              cache_penalty
-          in
-          let direct =
-            Ilp_sim.Metrics.measure ?cache:(cache ()) config binary
-          in
           let replayed =
-            Ilp_sim.Metrics.measure_replay ?cache:(cache ()) config trace
-              binary
+            Ilp_sim.Metrics.measure_replay
+              ?cache:(Option.map Helpers.fresh_cache cache)
+              config trace binary
           in
-          String.equal (replay_fingerprint direct)
-            (replay_fingerprint replayed)
+          match
+            Helpers.run_difference
+              (Helpers.reference_measure ?cache config binary)
+              replayed
+          with
+          | None -> true
+          | Some d ->
+              QCheck2.Test.fail_reportf "%s: %s" config.Config.name d
         with Ilp_sim.Exec.Fault _ -> true
       in
       agree Presets.base
       && agree (Presets.superscalar 4)
       && agree (Presets.superpipelined 3)
       && agree (Presets.superscalar_with_class_conflicts 3)
-      && agree ~cache_penalty:8 (Presets.cray1 ()))
+      && agree
+           ~cache:{ Timing_ref.lines = 16; line_words = 4; penalty = 8 }
+           (Presets.cray1 ()))
 
-(* The sweep engine against direct measurement: random programs on a
-   random choice of cells must give, cell for cell, exactly the run
-   [Ilp.measure] gives.  The cells cover a cache, unit pools,
-   branch-ended packets, memory disambiguation, and two machines that
-   differ only in name (which the engine replays once). *)
+(* The sweep engine against direct timing: random programs on a random
+   choice of cells must give, cell for cell, exactly the run the
+   reference models give for the cell's compiled binary.  The cells
+   cover a cache, unit pools, branch-ended packets, memory
+   disambiguation, and two machines that differ only in name (which
+   the engine replays once). *)
 let sweep_cells =
   let cache =
     { Ilp_core.Experiments.lines = 16; line_words = 4; penalty = 7 }
@@ -176,11 +175,12 @@ let prop_sweep_matches_direct =
             let cache =
               Option.map
                 (fun (g : Ilp_core.Experiments.cache_geometry) ->
-                  Ilp_sim.Cache.create ~lines:g.lines ~line_words:g.line_words
-                    ~penalty:g.penalty ())
+                  { Timing_ref.lines = g.lines; line_words = g.line_words;
+                    penalty = g.penalty })
                 cache
             in
-            Ilp_core.Ilp.measure ~memdep ?cache config src)
+            Helpers.reference_measure ?cache config
+              (Ilp_core.Ilp.compile ~memdep ~level:Ilp_core.Ilp.O4 config src))
           cells
       with
       | exception Ilp_sim.Exec.Fault _ -> true
@@ -195,16 +195,10 @@ let prop_sweep_matches_direct =
           in
           Array.for_all2
             (fun (d : Ilp_sim.Metrics.run) (s : Ilp_sim.Metrics.run) ->
-              d.machine = s.machine && d.dyn_instrs = s.dyn_instrs
-              && d.minor_cycles = s.minor_cycles
-              && d.stall_cycles = s.stall_cycles
-              && Float.equal d.speedup s.speedup
-              && d.class_counts = s.class_counts
-              && Ilp_sim.Value.equal d.sink s.sink
-              || QCheck2.Test.fail_reportf "cell %s: swept %s, direct %s"
-                   d.machine
-                   (Fmt.str "%a" Ilp_sim.Metrics.pp_run s)
-                   (Fmt.str "%a" Ilp_sim.Metrics.pp_run d))
+              match Helpers.run_difference d s with
+              | None -> true
+              | Some diff ->
+                  QCheck2.Test.fail_reportf "cell %s: %s" d.machine diff)
             direct swept)
 
 (* --- scheduler properties over random straight-line blocks --------------- *)

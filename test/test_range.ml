@@ -222,24 +222,21 @@ let test_ranges_checksum_identical () =
 
 module SB = Ilp_sched.Static_bound
 
+(* Compile, capture and replay [source], and count its loops from the
+   trace. *)
 let measure_with_bounds config source =
   let program =
     Ilp_core.Ilp.compile ~memdep:true ~level:Ilp_core.Ilp.O4 config source
   in
   let sb = SB.analyze config program in
-  let c = SB.counters sb in
-  let tm = Ilp_sim.Timing.create config in
-  let outcome =
-    Ilp_sim.Exec.run
-      ~observers:[ Ilp_sim.Timing.observer tm; SB.observer c ]
-      program
-  in
-  Ilp_sim.Timing.finish tm;
+  let trace = Ilp_sim.Trace_buffer.capture program in
+  let counts = Ilp_core.Experiments.loop_counts trace sb in
+  let run = Ilp_sim.Metrics.measure_replay config trace program in
   let lb =
-    SB.cycles_lb config sb c ~dyn_instrs:outcome.Ilp_sim.Exec.dyn_instrs
-      ~class_counts:outcome.Ilp_sim.Exec.class_counts
+    SB.cycles_lb config sb counts ~dyn_instrs:run.Ilp_sim.Metrics.dyn_instrs
+      ~class_counts:run.Ilp_sim.Metrics.class_counts
   in
-  (sb, c, Ilp_sim.Timing.minor_cycles tm, lb)
+  (sb, counts, run.Ilp_sim.Metrics.minor_cycles, lb)
 
 let test_static_bound_recurrence () =
   let source =
@@ -253,17 +250,19 @@ fun main() {
 |}
   in
   let config = Presets.superscalar 4 in
-  let sb, c, measured, lb = measure_with_bounds config source in
+  let sb, counts, measured, lb = measure_with_bounds config source in
   let rec_loops =
-    List.filter (fun (b : SB.loop_bound) -> b.SB.sb_recurrence > 0) sb.SB.bounds
+    List.filter
+      (fun ((b : SB.loop_bound), _) -> b.SB.sb_recurrence > 0)
+      (List.combine sb.SB.bounds counts)
   in
   Alcotest.(check bool) "a recurrence-bound loop was found" true
     (rec_loops <> []);
-  let b = List.hd rec_loops in
+  let b, c = List.hd rec_loops in
   (* s -> s*3 -> +i -> &mask: three unit-latency links back into s *)
   Alcotest.(check bool) "recurrence spans the whole chain" true
     (b.SB.sb_recurrence >= 3);
-  Alcotest.(check bool) "the loop iterated" true (SB.traversals c b >= 199);
+  Alcotest.(check bool) "the loop iterated" true (c.SB.traversals >= 199);
   Alcotest.(check bool) "measured respects the floor" true (measured >= lb);
   (* 200 iterations x >=3 cycles each must show up in the floor *)
   Alcotest.(check bool) "recurrence dominates the floor" true (lb >= 3 * 199)
@@ -274,40 +273,70 @@ let test_static_bound_workloads () =
       List.iter
         (fun name ->
           let w = Ilp_workloads.Registry.find name |> Option.get in
-          let unroll =
-            if w.Ilp_workloads.Workload.default_unroll > 1 then
-              Some
-                { Ilp_core.Ilp.mode = Ilp_lang.Unroll.Naive;
-                  factor = w.Ilp_workloads.Workload.default_unroll;
-                  bounds = false;
-                }
-            else None
-          in
+          let unroll, source = Ilp_core.Experiments.workload_source w in
           let program =
             Ilp_core.Ilp.compile ?unroll ~memdep:true ~level:Ilp_core.Ilp.O4
-              config w.Ilp_workloads.Workload.source
+              config source
           in
           let sb = SB.analyze config program in
-          let c = SB.counters sb in
-          let tm = Ilp_sim.Timing.create config in
-          let outcome =
-            Ilp_sim.Exec.run
-              ~observers:[ Ilp_sim.Timing.observer tm; SB.observer c ]
-              program
-          in
-          Ilp_sim.Timing.finish tm;
+          let trace = Ilp_sim.Trace_buffer.capture program in
+          let run = Ilp_sim.Metrics.measure_replay config trace program in
           let lb =
-            SB.cycles_lb config sb c
-              ~dyn_instrs:outcome.Ilp_sim.Exec.dyn_instrs
-              ~class_counts:outcome.Ilp_sim.Exec.class_counts
+            SB.cycles_lb config sb
+              (Ilp_core.Experiments.loop_counts trace sb)
+              ~dyn_instrs:run.Ilp_sim.Metrics.dyn_instrs
+              ~class_counts:run.Ilp_sim.Metrics.class_counts
           in
-          if Ilp_sim.Timing.minor_cycles tm < lb then
+          if run.Ilp_sim.Metrics.minor_cycles < lb then
             Alcotest.failf "%s on %s: measured %d < static floor %d" name
-              config.Config.name
-              (Ilp_sim.Timing.minor_cycles tm)
-              lb)
+              config.Config.name run.Ilp_sim.Metrics.minor_cycles lb)
         [ "whet"; "linpack"; "stanford" ])
     [ Presets.superscalar 8; Presets.cray1 () ]
+
+(* The sweep counts each loop's traversals and entries from the visits
+   of a trace captured before scheduling; the reference observer counts
+   them on the scheduled binary's own run.  Every loop of every
+   workload, on the presets of [fig4_static_bounds], must agree. *)
+let test_static_bound_visit_counts () =
+  let requests =
+    Array.of_list
+      (List.concat_map
+         (fun config ->
+           List.map
+             (fun w -> Ilp_core.Experiments.request ~memdep:true w config)
+             (Ilp_workloads.Registry.all @ Ilp_workloads.Registry.extras))
+         (Ilp_core.Experiments.static_bounds_presets ()))
+  in
+  let cells =
+    Ilp_core.Experiments.with_jobs 2 (fun () ->
+        Ilp_core.Experiments.sweep
+          (fun r trace binary _ ->
+            let sb = SB.analyze r.Ilp_core.Experiments.rq_config binary in
+            ( sb,
+              Ilp_core.Experiments.loop_counts trace sb,
+              Static_bound_ref.run sb binary ))
+          requests)
+  in
+  let loops = ref 0 and traversals = ref 0 in
+  Array.iteri
+    (fun i (sb, visits, reference) ->
+      let r = requests.(i) in
+      List.iter2
+        (fun (b : SB.loop_bound) ((v : SB.counts), (o : SB.counts)) ->
+          incr loops;
+          traversals := !traversals + o.SB.traversals;
+          if v <> o then
+            Alcotest.failf
+              "%s on %s, loop %s.%s: visits give %d traversals and %d \
+               entries, the observer %d and %d"
+              r.Ilp_core.Experiments.rq_workload.Ilp_workloads.Workload.name
+              r.Ilp_core.Experiments.rq_config.Config.name b.SB.sb_func
+              b.SB.sb_header v.SB.traversals v.SB.entries o.SB.traversals
+              o.SB.entries)
+        sb.SB.bounds
+        (List.combine visits reference))
+    cells;
+  Alcotest.(check bool) "loops were counted" true (!loops > 0 && !traversals > 0)
 
 (* --- lint / sanitize exit codes (the CLI binary) ----------------------- *)
 
@@ -499,6 +528,8 @@ let tests =
       test_static_bound_recurrence;
     Alcotest.test_case "static bound: measured >= floor on workloads" `Slow
       test_static_bound_workloads;
+    Alcotest.test_case "static bound: visit counts = observer counts" `Slow
+      test_static_bound_visit_counts;
     Alcotest.test_case "cli: lint and sanitize exit codes" `Slow
       test_cli_exit_codes;
     QCheck_alcotest.to_alcotest (prop_ranges_sound "random" Gen_minimod.prog);

@@ -1,8 +1,9 @@
-(* Trace-buffer tests: replayed timing must reproduce direct-observer
-   timing bit for bit — cycles, stalls, speedup, issue histogram, and
-   cache behaviour — for every workload on every machine preset, and
-   replay must refuse (rather than misreport) a binary that is not a
-   schedule-sibling of the captured program. *)
+(* Trace-buffer tests: replayed timing must reproduce the reference
+   measurement — [Exec] driving an observer, its stream stepped through
+   the cycle-by-cycle model [Timing_ref] — bit for bit: cycles, stalls,
+   speedup, issue histogram and cache behaviour, for every workload on
+   every machine preset.  Replay must refuse (rather than misreport) a
+   binary that is not a schedule-sibling of the captured program. *)
 
 open Ilp_machine
 module Timing = Ilp_sim.Timing
@@ -28,32 +29,24 @@ let presets =
     Presets.superpipelined_superscalar ~n:2 ~m:2;
     Presets.superscalar_with_class_conflicts 4 ]
 
-let fingerprint (t : Timing.t) =
-  ( Timing.instrs t,
-    Timing.minor_cycles t,
-    t.Timing.stall_cycles,
-    Timing.speedup t,
-    Array.to_list t.Timing.issue_histogram )
+let cache_geometry = { Timing_ref.lines = 64; line_words = 4; penalty = 12 }
 
-let direct_timing ?cache config binary =
-  let t = Timing.create ?cache config in
-  ignore (Ilp_sim.Exec.run ~observer:(Timing.observer t) binary);
-  Timing.finish t;
-  t
+let fresh_cache () = Helpers.fresh_cache cache_geometry
 
-let replay_timing ?cache config trace binary =
-  let t = Timing.create ?cache config in
-  Trace_buffer.replay trace binary t;
-  Timing.finish t;
-  t
-
-let check_equal name d r =
-  if fingerprint d <> fingerprint r then
-    Alcotest.failf "%s: replayed timing differs from direct timing" name;
+(* Replay [binary] over [trace] and compare every field of the run with
+   the reference measurement of the same binary. *)
+let check_replay ?(cached = false) name config trace binary =
+  let cache = if cached then Some (fresh_cache ()) else None in
+  let replayed = Metrics.measure_replay ?cache config trace binary in
+  Helpers.check_run name
+    (Helpers.reference_measure
+       ?cache:(if cached then Some cache_geometry else None)
+       config binary)
+    replayed;
   Alcotest.(check int)
     (name ^ ": histogram sums to minor cycles")
-    (Timing.minor_cycles r)
-    (Array.fold_left ( + ) 0 r.Timing.issue_histogram)
+    replayed.Metrics.minor_cycles
+    (Array.fold_left ( + ) 0 replayed.Metrics.issue_histogram)
 
 (* One capture per workload serves every preset. *)
 let workload_tests =
@@ -68,15 +61,10 @@ let workload_tests =
           List.iter
             (fun config ->
               let binary = Ilp_core.Ilp.schedule ~level config pre in
-              let name = w.W.name ^ "/" ^ config.Config.name in
-              check_equal name
-                (direct_timing config binary)
-                (replay_timing config trace binary))
+              check_replay (w.W.name ^ "/" ^ config.Config.name) config trace
+                binary)
             presets))
     Ilp_workloads.Registry.all
-
-let fresh_cache () =
-  Ilp_sim.Cache.create ~lines:64 ~line_words:4 ~penalty:12 ()
 
 let test_replay_with_cache () =
   let w =
@@ -89,12 +77,12 @@ let test_replay_with_cache () =
   List.iter
     (fun config ->
       let binary = Ilp_core.Ilp.schedule ~level config pre in
-      let name = "whet+cache/" ^ config.Config.name in
-      check_equal name
-        (direct_timing ~cache:(fresh_cache ()) config binary)
-        (replay_timing ~cache:(fresh_cache ()) config trace binary))
+      check_replay ~cached:true ("whet+cache/" ^ config.Config.name) config
+        trace binary)
     [ Presets.base; Presets.superscalar 4; Presets.multititan ]
 
+(* Every field of [measure_replay]'s run, the machine name, class mix
+   and sink included, against the reference measurement. *)
 let test_measure_replay_equals_measure () =
   let w =
     match Ilp_workloads.Registry.find "yacc" with
@@ -105,15 +93,9 @@ let test_measure_replay_equals_measure () =
   let pre = Ilp_core.Ilp.compile_unscheduled ~level config w.W.source in
   let trace = Trace_buffer.capture pre in
   let binary = Ilp_core.Ilp.schedule ~level config pre in
-  let d = Metrics.measure config binary in
-  let r = Metrics.measure_replay config trace binary in
-  Alcotest.(check int) "dyn_instrs" d.Metrics.dyn_instrs r.Metrics.dyn_instrs;
-  Alcotest.(check int) "minor_cycles" d.Metrics.minor_cycles r.Metrics.minor_cycles;
-  Alcotest.(check int) "stall_cycles" d.Metrics.stall_cycles r.Metrics.stall_cycles;
-  Helpers.check_float "speedup" d.Metrics.speedup r.Metrics.speedup;
-  Alcotest.check Helpers.value_testable "sink" d.Metrics.sink r.Metrics.sink;
-  Alcotest.(check (array int)) "class_counts" d.Metrics.class_counts
-    r.Metrics.class_counts
+  Helpers.check_run "yacc"
+    (Helpers.reference_measure config binary)
+    (Metrics.measure_replay config trace binary)
 
 let test_divergence_on_foreign_binary () =
   let find name =
@@ -234,8 +216,8 @@ let test_capture_allocation () =
           w.W.name per_instr)
     Ilp_workloads.Registry.all
 
-(* The recorded trace, replayed, times a random program exactly as
-   [Timing.observer] does when the reference interpreter drives it. *)
+(* The recorded trace, replayed, times a random program exactly as the
+   reference models do when the reference interpreter drives them. *)
 let prop_replay_matches_reference =
   QCheck2.Test.make ~count:30
     ~name:"random programs: recorded trace replay = reference-driven timing"
@@ -249,21 +231,16 @@ let prop_replay_matches_reference =
       let replayed =
         Metrics.measure_replay config (Trace_buffer.capture pre) binary
       in
-      let t = Timing.create config in
-      let o = Exec_ref.run ~observer:(Timing.observer t) binary in
-      Timing.finish t;
-      let direct =
-        { Metrics.machine = config.Config.name;
-          dyn_instrs = o.Exec_ref.dyn_instrs;
-          minor_cycles = Timing.minor_cycles t;
-          base_cycles = Timing.base_cycles t;
-          speedup = Timing.speedup t;
-          stall_cycles = t.Timing.stall_cycles;
-          class_counts = o.Exec_ref.class_counts;
-          sink = o.Exec_ref.sink;
-        }
+      let reference =
+        Helpers.reference_measure
+          ~execute:(fun observer p ->
+            let o = Exec_ref.run ~observer p in
+            (o.Exec_ref.dyn_instrs, o.Exec_ref.class_counts, o.Exec_ref.sink))
+          config binary
       in
-      compare replayed direct = 0)
+      match Helpers.run_difference reference replayed with
+      | None -> true
+      | Some d -> QCheck2.Test.fail_reportf "%s" d)
 
 (* ------------------------------------------------------------------ *)
 (* binding refuses a binary whose instructions left their segments     *)

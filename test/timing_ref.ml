@@ -30,6 +30,16 @@ type instr = {
   addr : int;  (** word address of a memory access, or -1 *)
 }
 
+(* One executed instruction as an executor's observer reports it. *)
+let of_instr (i : Instr.t) addr =
+  let indices regs = Array.of_list (List.map Reg.index regs) in
+  { cls = Instr.iclass i;
+    is_load = Instr.is_load i;
+    defs = indices (Instr.defs i);
+    uses = indices (Instr.uses i);
+    addr;
+  }
+
 type cache = { lines : int; line_words : int; penalty : int }
 
 type result = {
