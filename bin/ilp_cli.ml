@@ -216,7 +216,8 @@ let run_cmd =
   let verbose_arg =
     let doc =
       "Also report the captured trace's footprint — segment visits, \
-       addresses and payload bytes."
+       addresses and payload bytes — and how many of the visits replay \
+       issued one instruction at a time rather than from its memo."
     in
     Arg.(value & flag & info [ "v"; "verbose" ] ~doc)
   in
@@ -254,7 +255,11 @@ let run_cmd =
       let st = Ilp_sim.Trace_buffer.stats trace in
       Fmt.pr "trace          %d visit(s), %d address(es)@."
         st.Ilp_sim.Trace_buffer.visits st.Ilp_sim.Trace_buffer.addresses;
-      Fmt.pr "trace size     %d byte(s)@." st.Ilp_sim.Trace_buffer.bytes
+      Fmt.pr "trace size     %d byte(s)@." st.Ilp_sim.Trace_buffer.bytes;
+      let timing = Ilp_sim.Timing.create machine in
+      Ilp_sim.Trace_buffer.replay trace binary timing;
+      Fmt.pr "replay stepped %d of %d visit(s)@." timing.Ilp_sim.Timing.stepped
+        st.Ilp_sim.Trace_buffer.visits
     end;
     Fmt.pr "instructions   %d@." r.Ilp_sim.Metrics.dyn_instrs;
     Fmt.pr "base cycles    %.1f@." r.Ilp_sim.Metrics.base_cycles;

@@ -31,12 +31,13 @@
     blocking cache miss is paid the same way first, and a full or
     branch-ended packet moves to the next cycle without a stall.  The
     outcome is exactly that of stepping one minor cycle at a time, and
-    the path allocates nothing per instruction.
+    the step allocates nothing.
 
     Every measurement is timed by the flat replay loop {!replay_flat}
-    over a captured trace.  {!issue} and {!issue_decoded} take one
-    instruction at a time through the same issue step, for pipeline
-    diagrams and tests. *)
+    over a captured trace, which without a cache times each distinct
+    (machine state, issue segment) pair once (see {!section-replay}).
+    {!issue} and {!issue_decoded} take one instruction at a time through
+    the same issue step, for pipeline diagrams and tests. *)
 
 open Ilp_machine
 
@@ -59,6 +60,10 @@ type t = {
           [k] instructions *)
   mutable force_cycle_end : bool;
   mutable finished : bool;  (** set by {!finish} *)
+  mutable stepped : int;
+      (** segment visits {!replay_flat} issued one instruction at a time:
+          every visit with a cache, each distinct (state, segment) pair
+          once without one *)
 }
 
 val create : ?cache:Cache.t -> ?registers:int -> Config.t -> t
@@ -91,7 +96,7 @@ val issue_decoded :
     first such unit in declaration order.  After the call, [t.now] is
     the minor cycle the instruction issued in. *)
 
-(** {1 Flat replay}
+(** {1:replay Flat replay}
 
     {!Trace_buffer} replays a captured trace from two flat, off-heap
     arrays: the dynamic sequence of {e issue segments} visited (runs of
@@ -103,12 +108,30 @@ val issue_decoded :
     class index, load and control flags, the slot's rank among the
     visit's addresses, and one flat register list.
 
-    {!replay_flat} is the loop over this form.  It lives here rather
-    than in {!Trace_buffer} because the dev profile compiles with
-    [-opaque]: across modules, every per-instruction call would be a
-    generic application, while inside this module the issue step that
-    {!issue} and {!issue_decoded} use is inlined into the loop.  The
-    loop allocates nothing. *)
+    {!replay_flat} is the loop over this form.  Without a cache it is
+    memoized.  Its key for the model's state is the open packet's issue
+    count, the branch-ended flag, and how far beyond [now] each register
+    of [fc_named] is ready and each unit copy frees, clamped at 0.  The
+    clamp is exact: a value at or below [now] never changes an issue
+    cycle, a WAW bound, the unit copy booked or the drain.  The first
+    visit of a segment from a state (a miss) runs the segment through
+    the issue step on a scratch model loaded with the state at
+    [now = 0], and records the next state with the deltas of [now], the
+    stall cycles and the histogram.  Every later visit of the pair (a
+    hit) bumps the pair's count and moves to its next state without
+    touching an instruction or address.  At the end the counts times
+    the deltas go into [t] and the last state is written back at the
+    new [now], so {!finish}, {!minor_cycles} and later issues behave
+    exactly as after issuing every instruction; registers the code
+    never names keep their absolute values.  A cache's contents are
+    state the key lacks, so with a cache every visit issues its
+    instructions.  Replay allocates per distinct (state, segment) pair.
+
+    The loop lives here rather than in {!Trace_buffer} because the dev
+    profile compiles with [-opaque]: across modules, every
+    per-instruction call would be a generic application, while inside
+    this module the issue step that {!issue} and {!issue_decoded} use is
+    inlined into it. *)
 
 type flat_code = {
   fc_seg_first : int array;  (** per segment: its first slot *)
@@ -125,6 +148,7 @@ type flat_code = {
           start in [fc_regs], destinations first *)
   fc_ndefs : int array;  (** per slot: destination register count *)
   fc_regs : int array;  (** every slot's register indices, concatenated *)
+  fc_named : int array;  (** every register [fc_regs] names, once *)
 }
 
 val flag_load : int
@@ -138,9 +162,10 @@ type addresses = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.
     visit order. *)
 
 val replay_flat : t -> flat_code -> visits -> addresses -> unit
-(** Issue every dynamic instruction of the trace: each visit's segment
-    slot by slot, in visit order.  Each instruction goes through the
-    same issue step as {!issue_decoded}. *)
+(** Time every dynamic instruction of the trace, each visit's segment
+    slot by slot, in visit order, as {!issue_decoded} would one at a
+    time: [t] ends exactly as it would after those calls.  Adds the
+    visits it issued instruction by instruction to [t.stepped]. *)
 
 val minor_cycles : t -> int
 (** Total time: the last issue cycle plus the drain of the deepest

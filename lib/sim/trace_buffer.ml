@@ -27,8 +27,11 @@
    [bind] lays one scheduled binary over the trace: it checks that
    every instruction stays in its segment, once, and that control
    leaves every segment the same way, then decodes the binary in its
-   own order for [Timing.replay_flat], the loop that issues it.  That
-   loop lives in [Timing] because the dev profile compiles with
+   own order for [Timing.replay_flat], the loop that times it, and
+   lists the registers the binary names once.  Without a cache that
+   loop steps each distinct (machine state, segment) pair once and
+   counts the repeats; its state key holds only those named registers.
+   That loop lives in [Timing] because the dev profile compiles with
    [-opaque], under which a loop here would reach the issue step
    through a generic application per instruction.  Any mismatch
    between the trace and the binary raises [Divergence] rather than
@@ -312,6 +315,7 @@ let bind (t : t) (binary : Program.t) =
       end;
       reg_first.(k + 1) <- !n_regs)
     bl.Exec.code;
+  let regs = Array.sub !regs 0 !n_regs in
   { pr_trace = t;
     pr_code =
       { Timing.fc_seg_first = seg_first;
@@ -322,7 +326,8 @@ let bind (t : t) (binary : Program.t) =
         fc_mrank = mrank;
         fc_reg_first = reg_first;
         fc_ndefs = ndefs;
-        fc_regs = Array.sub !regs 0 !n_regs;
+        fc_regs = regs;
+        fc_named = Array.of_list (List.sort_uniq Int.compare (Array.to_list regs));
       };
   }
 

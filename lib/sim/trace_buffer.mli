@@ -19,10 +19,11 @@
     lives in {!Timing}, next to the issue step it shares with
     {!Timing.issue}, because the dev profile compiles with [-opaque] and
     a loop here would reach the step through a generic application per
-    instruction.  Replay feeds the issue step exactly the dynamic
-    stream of the bound binary, in execution order, so the resulting
-    timing — cycles, stalls, histogram, cache behaviour — is that of
-    the binary's own run. *)
+    instruction.  Replay times exactly the dynamic stream of the bound
+    binary, in execution order; without a cache it steps each distinct
+    (machine state, segment) pair once and counts the repeats.  So the
+    resulting timing — cycles, stalls, histogram, cache behaviour — is
+    that of the binary's own run. *)
 
 open Ilp_ir
 

@@ -254,16 +254,16 @@ let gen_instr =
   let+ addr = frequency [ (1, return (-1)); (1, int_range 0 63) ] in
   { Timing_ref.cls; is_load; defs; uses; addr }
 
+let print_instr k (i : Timing_ref.instr) =
+  Printf.sprintf "  %2d %-8s load=%b defs=[%s] uses=[%s] addr=%d" k
+    (Iclass.name i.Timing_ref.cls) i.Timing_ref.is_load (ints i.Timing_ref.defs)
+    (ints i.Timing_ref.uses) i.Timing_ref.addr
+
 let print_oracle_case ((config : Config.t), cache, stream) =
   let unit (u : Config.unit_spec) =
     Printf.sprintf "%s x%d il%d [%s]" u.Config.unit_name u.Config.multiplicity
       u.Config.issue_latency
       (String.concat "," (List.map Iclass.name u.Config.classes))
-  in
-  let instr k (i : Timing_ref.instr) =
-    Printf.sprintf "  %2d %-8s load=%b defs=[%s] uses=[%s] addr=%d" k
-      (Iclass.name i.Timing_ref.cls) i.Timing_ref.is_load (ints i.Timing_ref.defs)
-      (ints i.Timing_ref.uses) i.Timing_ref.addr
   in
   String.concat "\n"
     ([ Printf.sprintf "width=%d degree=%d branch_ends_packet=%b latencies=[%s]"
@@ -276,32 +276,33 @@ let print_oracle_case ((config : Config.t), cache, stream) =
            Printf.sprintf "cache lines=%d line_words=%d penalty=%d"
              c.Timing_ref.lines c.Timing_ref.line_words c.Timing_ref.penalty)
      ]
-    @ Array.to_list (Array.mapi instr stream))
+    @ Array.to_list (Array.mapi print_instr stream))
 
-(* The stream as flat replay code: cut into issue segments after every
-   control-class instruction, each visited once in order, with each
-   visit's memory addresses in one block. *)
-let flat_of_stream (stream : Timing_ref.instr array) =
+(* Flat replay code for [segments], laid out one after another, and a
+   trace that visits them in the order [order], each visit's memory
+   addresses in one block. *)
+let flat_of_visits (segments : Timing_ref.instr array array) order =
+  let stream = Array.concat (Array.to_list segments) in
   let n = Array.length stream in
-  let firsts = ref [] and lens = ref [] and mems = ref [] and addrs = ref [] in
-  let start = ref 0 and mem = ref 0 in
+  let seg_first = Array.make (Array.length segments) 0 in
+  for s = 1 to Array.length segments - 1 do
+    seg_first.(s) <- seg_first.(s - 1) + Array.length segments.(s - 1)
+  done;
   let mrank = Array.make n (-1) in
-  Array.iteri
-    (fun k (i : Timing_ref.instr) ->
-      if i.Timing_ref.addr >= 0 then begin
-        mrank.(k) <- !mem;
-        incr mem;
-        addrs := i.Timing_ref.addr :: !addrs
-      end;
-      if Iclass.is_control i.Timing_ref.cls || k = n - 1 then begin
-        firsts := !start :: !firsts;
-        lens := (k + 1 - !start) :: !lens;
-        mems := !mem :: !mems;
-        start := k + 1;
-        mem := 0
-      end)
-    stream;
-  let of_rev l = Array.of_list (List.rev l) in
+  let seg_addrs =
+    Array.mapi
+      (fun s seg ->
+        let addrs = ref [] in
+        Array.iteri
+          (fun k (i : Timing_ref.instr) ->
+            if i.Timing_ref.addr >= 0 then begin
+              mrank.(seg_first.(s) + k) <- List.length !addrs;
+              addrs := i.Timing_ref.addr :: !addrs
+            end)
+          seg;
+        Array.of_list (List.rev !addrs))
+      segments
+  in
   let regs (i : Timing_ref.instr) =
     Array.append i.Timing_ref.defs i.Timing_ref.uses
   in
@@ -309,10 +310,11 @@ let flat_of_stream (stream : Timing_ref.instr array) =
   Array.iteri
     (fun k i -> reg_first.(k + 1) <- reg_first.(k) + Array.length (regs i))
     stream;
+  let fc_regs = Array.concat (Array.to_list (Array.map regs stream)) in
   let code =
-    { Timing.fc_seg_first = of_rev !firsts;
-      fc_seg_len = of_rev !lens;
-      fc_seg_mem = of_rev !mems;
+    { Timing.fc_seg_first = seg_first;
+      fc_seg_len = Array.map Array.length segments;
+      fc_seg_mem = Array.map Array.length seg_addrs;
       fc_cls = Array.map (fun i -> Iclass.to_index i.Timing_ref.cls) stream;
       fc_flags =
         Array.map
@@ -325,19 +327,33 @@ let flat_of_stream (stream : Timing_ref.instr array) =
       fc_mrank = mrank;
       fc_reg_first = reg_first;
       fc_ndefs = Array.map (fun i -> Array.length i.Timing_ref.defs) stream;
-      fc_regs = Array.concat (Array.to_list (Array.map regs stream));
+      fc_regs;
+      fc_named =
+        Array.of_list (List.sort_uniq Int.compare (Array.to_list fc_regs));
     }
   in
-  let visits =
-    Bigarray.Array1.init Bigarray.int32 Bigarray.c_layout
-      (Array.length code.Timing.fc_seg_first)
-      Int32.of_int
-  in
-  let addresses =
+  let int32s a =
     Bigarray.Array1.of_array Bigarray.int32 Bigarray.c_layout
-      (Array.map Int32.of_int (of_rev !addrs))
+      (Array.map Int32.of_int a)
   in
-  (code, visits, addresses)
+  ( code,
+    int32s order,
+    int32s (Array.concat (List.map (fun s -> seg_addrs.(s)) (Array.to_list order))) )
+
+(* The stream as flat replay code: cut into issue segments after every
+   control-class instruction, each visited once in order. *)
+let flat_of_stream (stream : Timing_ref.instr array) =
+  let n = Array.length stream in
+  let segments = ref [] and start = ref 0 in
+  Array.iteri
+    (fun k (i : Timing_ref.instr) ->
+      if Iclass.is_control i.Timing_ref.cls || k = n - 1 then begin
+        segments := Array.sub stream !start (k + 1 - !start) :: !segments;
+        start := k + 1
+      end)
+    stream;
+  let segments = Array.of_list (List.rev !segments) in
+  flat_of_visits segments (Array.init (Array.length segments) Fun.id)
 
 (* Both ways into the shared issue step must match the reference: one
    [issue_decoded] call per instruction, and the flat replay loop over
@@ -421,6 +437,113 @@ let prop_matches_reference =
        check_path "replay_flat" issue_cycles model);
       true)
 
+(* --- memoized replay against the reference ----------------------------- *)
+
+(* A visit order made of loops over 1-3 segments, each run 1-12 times,
+   cut at 80 visits: (state, segment) pairs repeat, so replay takes most
+   visits from its memo. *)
+let gen_order n_segments =
+  let open QCheck2.Gen in
+  let body = array_size (int_range 1 3) (int_range 0 (n_segments - 1)) in
+  let+ loops = list_size (int_range 1 4) (pair body (int_range 1 12)) in
+  let order =
+    Array.concat
+      (List.concat_map (fun (body, n) -> List.init n (fun _ -> body)) loops)
+  in
+  Array.sub order 0 (min 80 (Array.length order))
+
+(* A machine, a prefix issued before the replay (empty in half the
+   cases), 1-6 segments, an order to visit them in, and a suffix issued
+   after the replay. *)
+let gen_memo_case =
+  let open QCheck2.Gen in
+  let* config = gen_config in
+  let* prefix =
+    frequency [ (1, return [||]); (1, array_size (int_range 1 12) gen_instr) ]
+  in
+  let* segments =
+    array_size (int_range 1 6) (array_size (int_range 1 6) gen_instr)
+  in
+  let* order = gen_order (Array.length segments) in
+  let+ suffix = array_size (int_range 0 4) gen_instr in
+  (config, prefix, segments, order, suffix)
+
+let print_memo_case (config, prefix, segments, order, suffix) =
+  let listing title stream =
+    title :: Array.to_list (Array.mapi print_instr stream)
+  in
+  String.concat "\n"
+    (print_oracle_case (config, None, prefix)
+     :: List.concat
+          (List.mapi
+             (fun s -> listing (Printf.sprintf "segment %d:" s))
+             (Array.to_list segments))
+    @ [ "visits: " ^ ints order ]
+    @ listing "suffix:" suffix)
+
+(* Without a cache, [replay_flat] follows its chain of interned states
+   and issues only the (state, segment) pairs it has not seen.  The
+   stream it stands for must time exactly as in the reference, with
+   what comes before and after it: a prefix issued through
+   [issue_decoded] leaves registers and units busy beyond [now] and a
+   packet open or branch-ended, which the replay must take over, and a
+   suffix issued after it must find the state the replay hands back.
+   [now] after every prefix of the visits is the issue cycle of its last
+   instruction, and the counters match before and after [finish]. *)
+let prop_memo_matches_reference =
+  QCheck2.Test.make ~count:300
+    ~name:"memoized replay matches cycle-stepped reference"
+    ~print:print_memo_case gen_memo_case
+    (fun (config, prefix, segments, order, suffix) ->
+      let module R = Timing_ref in
+      let visited = List.map (Array.get segments) (Array.to_list order) in
+      let expected =
+        R.run ~registers:oracle_registers config
+          (Array.concat ((prefix :: visited) @ [ suffix ]))
+      in
+      let issue t =
+        Array.map (fun (i : R.instr) ->
+            Timing.issue_decoded t ~cls:i.R.cls ~is_load:i.R.is_load
+              ~defs:i.R.defs ~uses:i.R.uses i.R.addr;
+            t.Timing.now)
+      in
+      (* a model that issued [prefix], then replayed the first [v] visits *)
+      let replayed v =
+        let t = Timing.create ~registers:oracle_registers config in
+        ignore (issue t prefix);
+        let code, visits, addresses =
+          flat_of_visits segments (Array.sub order 0 v)
+        in
+        Timing.replay_flat t code visits addresses;
+        t
+      in
+      let check what show got want =
+        if got <> want then
+          QCheck2.Test.fail_reportf "%s: timing %s, reference %s" what
+            (show got) (show want)
+      in
+      let last = ref (Array.length prefix - 1) in
+      for v = 0 to Array.length order do
+        if v > 0 then last := !last + Array.length segments.(order.(v - 1));
+        check
+          (Printf.sprintf "now after %d visit(s)" v)
+          string_of_int (replayed v).Timing.now
+          (if !last < 0 then 0 else expected.R.issue_cycles.(!last))
+      done;
+      let t = replayed (Array.length order) in
+      check "suffix issue cycles" ints (issue t suffix)
+        (Array.sub expected.R.issue_cycles (!last + 1) (Array.length suffix));
+      check "minor_cycles before finish" string_of_int (Timing.minor_cycles t)
+        expected.R.minor_cycles;
+      Timing.finish t;
+      check "minor_cycles" string_of_int (Timing.minor_cycles t)
+        expected.R.minor_cycles;
+      check "stall_cycles" string_of_int t.Timing.stall_cycles
+        expected.R.stall_cycles;
+      check "instrs" string_of_int (Timing.instrs t) expected.R.instrs;
+      check "issue histogram" ints t.Timing.issue_histogram expected.R.histogram;
+      true)
+
 let tests =
   [ Alcotest.test_case "base throughput" `Quick test_base_throughput;
     Alcotest.test_case "scoreboard size" `Quick test_scoreboard_size;
@@ -439,4 +562,5 @@ let tests =
     Alcotest.test_case "cache behaviour" `Quick test_cache_behavior;
     Alcotest.test_case "cache validation" `Quick test_cache_invalid;
     Alcotest.test_case "cache stalls pipeline" `Quick test_cache_stalls_pipeline;
-    QCheck_alcotest.to_alcotest prop_matches_reference ]
+    QCheck_alcotest.to_alcotest prop_matches_reference;
+    QCheck_alcotest.to_alcotest prop_memo_matches_reference ]
