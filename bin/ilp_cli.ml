@@ -383,7 +383,8 @@ let fuzz_cmd =
              store-stream-compared.")
   in
   let action count seed jobs alias_heavy unroll_heavy range_heavy =
-    let jobs = max 1 jobs in
+    validate_jobs jobs;
+    if count < 0 then usage_error "--count must be >= 0, got %d" count;
     match
       Ilp_core.Fuzz.run ~jobs ~count ~seed ~alias_heavy ~unroll_heavy
         ~range_heavy ()

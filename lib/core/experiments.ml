@@ -1,7 +1,7 @@
 (* Reproduction drivers for every table and figure of the paper's
    evaluation (see DESIGN.md, experiment index).  Each experiment
-   returns structured data plus a text rendering; the benchmark harness
-   and the CLI both go through these entry points. *)
+   returns structured data plus a text rendering; the CLI, the tests and
+   perfbench go through these entry points. *)
 
 open Ilp_machine
 module W = Ilp_workloads.Workload
@@ -1235,9 +1235,9 @@ type rangedep_row = {
    over every compiled function with and without the value-range tier,
    and run the two resulting superscalar-4 schedules to the sink.  The
    range tier can only add [No_alias] verdicts on top of the symbolic
-   tiers, so [rd_pruned_rng >= rd_pruned_sym] must hold everywhere —
-   the bench harness enforces that, strict improvement somewhere, and
-   checksum equality when it writes BENCH_rangedep.json. *)
+   tiers, so [rd_pruned_rng >= rd_pruned_sym] must hold everywhere;
+   test_range checks that, strict improvement somewhere, and checksum
+   equality. *)
 let rangedep_study () =
   List.map
     (fun (w : W.t) ->
@@ -1251,7 +1251,8 @@ let rangedep_study () =
         else None
       in
       let program =
-        Ilp.compile_unscheduled ?unroll ~level:Ilp.O4 Presets.base w.W.source
+        Ilp.compile_unscheduled ?unroll ~check:!checks ~level:Ilp.O4
+          Presets.base w.W.source
       in
       let tally ranges =
         List.fold_left
@@ -1269,7 +1270,7 @@ let rangedep_study () =
       let _, pruned_rng = tally true in
       let sink ranges =
         let p =
-          Ilp.compile ?unroll ~memdep:true ~ranges ~level:Ilp.O4
+          Ilp.compile ?unroll ~check:!checks ~memdep:true ~ranges ~level:Ilp.O4
             (Presets.superscalar 4) w.W.source
         in
         (Ilp_sim.Exec.run p).Ilp_sim.Exec.sink
@@ -1281,6 +1282,24 @@ let rangedep_study () =
         rd_sink_equal = sink false = sink true;
       })
     (Registry.all @ Registry.extras)
+
+let render_rangedep () =
+  let rows = rangedep_study () in
+  Report.section
+    "Extension: value-range disambiguation (DDG edges pruned, symbolic vs \
+     with ranges)"
+    (Report.table
+       ~header:
+         [ "benchmark"; "pairs"; "pruned, symbolic"; "pruned, ranges";
+           "same sink" ]
+       (List.map
+          (fun r ->
+            [ r.rd_bench;
+              string_of_int r.rd_pairs;
+              string_of_int r.rd_pruned_sym;
+              string_of_int r.rd_pruned_rng;
+              (if r.rd_sink_equal then "yes" else "NO") ])
+          rows))
 
 (* ------------------------------------------------------------------ *)
 (* Static per-loop ILP bounds vs measured ILP (extension)               *)
@@ -1422,6 +1441,7 @@ let all : (string * (unit -> string)) list =
     ("ablation_class_conflicts", render_ablation_class_conflicts);
     ("ablation_branch", render_ablation_branch);
     ("memdep", render_memdep);
+    ("rangedep", render_rangedep);
     ("fig4_static_bounds", render_static_bounds) ]
 
 let find name = List.assoc_opt name all

@@ -156,8 +156,3 @@ let map t f (xs : 'a array) : 'b array =
       | Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt
       | None -> assert false)
     out
-
-let map_list t f xs = Array.to_list (map t f (Array.of_list xs))
-
-let map_reduce t ~map:f ~reduce ~init xs =
-  Array.fold_left reduce init (map t f xs)

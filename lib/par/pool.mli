@@ -1,5 +1,5 @@
-(** A domain pool with deterministic data-parallel [map]/[map_reduce]
-    over indexed work items.
+(** A domain pool with a deterministic data-parallel [map] over indexed
+    work items.
 
     The pool owns [jobs - 1] worker domains (the caller is participant
     0, so [jobs = 1] degenerates to sequential execution in the calling
@@ -18,9 +18,9 @@
     condition variable, so oversubscribing a small host is safe).
 
     Restrictions, {e enforced}: batches must not nest — a task must not
-    itself call {!map}/{!map_list}/{!map_reduce} on the same pool — and
-    a pool must not be used after {!shutdown}.  Both misuses raise
-    [Invalid_argument] instead of deadlocking. *)
+    itself call {!map} on the same pool — and a pool must not be used
+    after {!shutdown}.  Both misuses raise [Invalid_argument] instead of
+    deadlocking. *)
 
 type t
 
@@ -46,12 +46,3 @@ val map : t -> ('a -> 'b) -> 'a array -> 'b array
     including which exception escapes.  Every item runs; if some raise,
     the exception of the {e lowest-index} one is re-raised in the caller
     with its backtrace once the batch has finished. *)
-
-val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
-(** {!map} over a list, preserving order. *)
-
-val map_reduce : t -> map:('a -> 'b) -> reduce:('b -> 'b -> 'b) -> init:'b -> 'a array -> 'b
-(** [map_reduce t ~map ~reduce ~init xs]: parallel {!map}, then a
-    sequential left fold of [reduce] over the results in index order —
-    [Array.fold_left reduce init (Array.map map xs)], deterministically,
-    whatever the scheduling. *)

@@ -9,7 +9,7 @@
    x[k] — the cross-copy pairs serialise.  The memory-dependence
    analysis recovers kn = k + 1 as a linear term, proves the constant
    offsets apart, and lets the copies overlap.  This is the
-   disambiguation stress workload behind BENCH_memdep.json.
+   disambiguation stress workload of the [memdep] experiment.
 
    Not part of the paper's Section 4 suite: registered in
    [Registry.extras], not [Registry.all], so the aggregate figure

@@ -84,7 +84,7 @@ let test_experiments_registry () =
     (Ilp_core.Experiments.find "fig9_9" = None);
   Alcotest.(check bool) "fig4_5_unroll registered" true
     (Ilp_core.Experiments.find "fig4_5_unroll" <> None);
-  Alcotest.(check int) "twenty-two experiments" 22
+  Alcotest.(check int) "twenty-three experiments" 23
     (List.length Ilp_core.Experiments.all)
 
 let test_sec5_1_analytic () =

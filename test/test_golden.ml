@@ -67,12 +67,12 @@ let test_no_orphans () =
     (Sys.readdir "golden")
 
 let tests =
-  Alcotest.test_case "no orphaned pins" `Quick test_no_orphans
-  :: List.map
-       (fun (name, _) -> Alcotest.test_case name `Slow (check_experiment name))
-       Ilp_core.Experiments.all
+  List.map
+    (fun (name, _) -> Alcotest.test_case name `Slow (check_experiment name))
+    Ilp_core.Experiments.all
   @ List.map
       (fun (name, args) ->
         Alcotest.test_case args `Quick
           (check_output ~pin:(Filename.concat "cli" (name ^ ".txt")) args))
       commands
+  @ [ Alcotest.test_case "no orphaned pins" `Quick test_no_orphans ]

@@ -241,6 +241,25 @@ let test_smooth_stats () =
   Alcotest.(check bool)
     "pruned beyond the region analysis" true (stats.Memdep.pruned > 0)
 
+(* Every (workload, degree) cell of the memdep experiment: no cell may
+   schedule worse with disambiguation on than without, and at least one
+   must schedule strictly better, or the analysis buys nothing. *)
+let test_study_never_worse () =
+  let rows = Ilp_core.Experiments.memdep_study () in
+  List.iter
+    (fun (r : Ilp_core.Experiments.memdep_row) ->
+      if r.md_disambiguated < r.md_conservative then
+        Alcotest.failf
+          "%s at degree %d schedules worse with disambiguation (%.4f < %.4f)"
+          r.md_bench r.md_degree r.md_disambiguated r.md_conservative)
+    rows;
+  Alcotest.(check bool)
+    "some cell schedules strictly better" true
+    (List.exists
+       (fun (r : Ilp_core.Experiments.memdep_row) ->
+         r.md_disambiguated > r.md_conservative)
+       rows)
+
 (* --- the on-demand analysis against the reference ----------------------- *)
 
 (* Where [Memdep] and [Memdep_ref] disagree on [f], if anywhere: the
@@ -416,6 +435,8 @@ let tests =
     Alcotest.test_case "smooth: disambiguation strictly improves ILP" `Quick
       test_smooth_improves;
     Alcotest.test_case "smooth: pruning statistics" `Quick test_smooth_stats;
+    Alcotest.test_case "experiment: never worse, sometimes better" `Quick
+      test_study_never_worse;
     Alcotest.test_case "hand-built: on-demand analysis = reference" `Quick
       test_hand_built_matches_reference;
     QCheck_alcotest.to_alcotest prop_matches_reference;

@@ -58,22 +58,6 @@ let qcheck_tests =
 (* ------------------------------------------------------------------ *)
 (* Pool unit tests                                                     *)
 
-let test_map_reduce () =
-  Pool.with_pool ~jobs:3 (fun pool ->
-      let xs = Array.init 50 (fun i -> i + 1) in
-      Alcotest.(check int)
-        "sum of squares 1..50" 42_925
-        (Pool.map_reduce pool
-           ~map:(fun x -> x * x)
-           ~reduce:( + ) ~init:0 xs);
-      (* a non-commutative reduce exposes any ordering violation *)
-      Alcotest.(check string)
-        "left fold in index order" "abcde"
-        (Pool.map_reduce pool
-           ~map:(fun c -> String.make 1 c)
-           ~reduce:( ^ ) ~init:""
-           [| 'a'; 'b'; 'c'; 'd'; 'e' |]))
-
 let test_pool_reuse () =
   Pool.with_pool ~jobs:4 (fun pool ->
       Alcotest.(check int) "pool width" 4 (Pool.jobs pool);
@@ -86,13 +70,6 @@ let test_pool_reuse () =
       done;
       Alcotest.(check (array int)) "empty batch" [||]
         (Pool.map pool (fun x -> x) [||]))
-
-let test_map_list () =
-  Pool.with_pool ~jobs:2 (fun pool ->
-      Alcotest.(check (list string))
-        "map_list preserves order"
-        [ "1"; "2"; "3" ]
-        (Pool.map_list pool string_of_int [ 1; 2; 3 ]))
 
 let test_shutdown_rejects_use () =
   let pool = Pool.create ~jobs:2 in
@@ -187,9 +164,7 @@ let test_fig4_1_distinct_cells () =
 
 let tests =
   qcheck_tests
-  @ [ Alcotest.test_case "map_reduce" `Quick test_map_reduce;
-      Alcotest.test_case "pool reuse across batches" `Quick test_pool_reuse;
-      Alcotest.test_case "map_list" `Quick test_map_list;
+  @ [ Alcotest.test_case "pool reuse across batches" `Quick test_pool_reuse;
       Alcotest.test_case "shutdown" `Quick test_shutdown_rejects_use;
       Alcotest.test_case "jobs clamped" `Quick test_jobs_clamped;
       Alcotest.test_case "nested batch rejected" `Quick

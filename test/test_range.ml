@@ -203,7 +203,26 @@ let test_redblack_range_pruning () =
     Ilp_analysis.Memdep.func_stats (Ilp_analysis.Memdep.analyze f) f
   in
   Alcotest.(check bool) "colour keeps must-alias pairs" true
-    (s.Ilp_analysis.Memdep.must_alias > 0)
+    (s.Ilp_analysis.Memdep.must_alias > 0);
+  (* every workload of the rangedep experiment: the range tier only adds
+     No_alias verdicts, so it prunes at least as many edges as the
+     symbolic tiers, strictly more somewhere, and both schedules leave
+     the same sink *)
+  let rows = Ilp_core.Experiments.rangedep_study () in
+  List.iter
+    (fun (r : Ilp_core.Experiments.rangedep_row) ->
+      if r.rd_pruned_rng < r.rd_pruned_sym then
+        Alcotest.failf "%s: ranges prune fewer edges (%d < %d)" r.rd_bench
+          r.rd_pruned_rng r.rd_pruned_sym;
+      if not r.rd_sink_equal then
+        Alcotest.failf "%s: the range-sharpened schedule changes the sink"
+          r.rd_bench)
+    rows;
+  Alcotest.(check bool) "some workload prunes strictly more with ranges" true
+    (List.exists
+       (fun (r : Ilp_core.Experiments.rangedep_row) ->
+         r.rd_pruned_rng > r.rd_pruned_sym)
+       rows)
 
 let test_ranges_checksum_identical () =
   (* schedules with and without range sharpening execute identically *)
@@ -394,6 +413,17 @@ let test_cli_exit_codes () =
     (* more domains than the runtime allows is a usage error *)
     Alcotest.(check int) "experiment, --jobs beyond the domain limit" 2
       (run "%s experiment fig1_1 --jobs 100000 > /dev/null 2>&1" cli);
+    (* fuzz checks its numbers as experiment does: a negative --jobs is
+       rejected, not clamped, and a negative --count is blamed on
+       --count *)
+    Alcotest.(check int) "fuzz, negative --jobs" 2
+      (run "%s fuzz --jobs=-3 --count 1 > /dev/null 2>&1" cli);
+    let code, first =
+      run_capturing_stderr (Printf.sprintf "%s fuzz --count=-3" cli)
+    in
+    Alcotest.(check int) "fuzz, negative --count: exit code" 2 code;
+    Alcotest.(check string) "fuzz, negative --count: message"
+      "ilp: --count must be >= 0, got -3" first;
     (* a machine Config.make rejects is a bad -m value, like an unknown
        name, not an uncaught exception *)
     List.iter

@@ -479,6 +479,31 @@ fun main() {
     true (peeled < classic_dyn);
   check_factors "peel" src (Ilp_sim.Value.Int 1703)
 
+(* Every workload and factor of the fig4_5_unroll experiment: peeling
+   only removes remainder-loop work, so the careful-peel curve may not
+   fall below the classic careful curve (0.1% slack for rounding). *)
+let test_study_peel_not_below_careful () =
+  let rows = Experiments.unroll_study () in
+  let series name bench =
+    List.find_opt
+      (fun (r : Experiments.unroll_study_row) ->
+        r.us_bench = bench && r.us_series = name)
+      rows
+  in
+  List.iter
+    (fun bench ->
+      match (series "careful" bench, series "careful-peel" bench) with
+      | Some careful, Some peel ->
+          List.iter2
+            (fun (factor, c) (_, p) ->
+              if p < c *. 0.999 then
+                Alcotest.failf "%s x%d: careful-peel %.4f < careful %.4f"
+                  bench factor p c)
+            careful.us_by_factor peel.us_by_factor
+      | _ -> Alcotest.failf "no careful or careful-peel series for %s" bench)
+    (List.sort_uniq compare
+       (List.map (fun (r : Experiments.unroll_study_row) -> r.us_bench) rows))
+
 let test_boundary_trip_counts () =
   (* deterministic sweep of the off-by-one landscape: for each factor,
      trip counts 0, 1, factor-1, factor, factor+1, counting up and
@@ -610,6 +635,8 @@ let tests =
     Alcotest.test_case "loop var in limit skipped" `Quick test_skip_loop_var_in_limit;
     Alcotest.test_case "full unroll eliminates loop" `Quick test_full_unroll_eliminates_loop;
     Alcotest.test_case "peel eliminates remainder" `Quick test_peel_eliminates_remainder;
+    Alcotest.test_case "experiment: peel never below careful" `Slow
+      test_study_peel_not_below_careful;
     Alcotest.test_case "boundary trip counts" `Quick test_boundary_trip_counts;
     Alcotest.test_case "subscript normalisation" `Quick test_normalize_index;
     Alcotest.test_case "composite subscript CSE" `Quick test_composite_subscript_cse ]
