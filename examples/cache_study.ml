@@ -9,7 +9,7 @@ open Ilp_machine
 let () =
   print_string (Ilp_core.Experiments.render_table5_1 ());
   print_newline ();
-  print_string (Ilp_core.Experiments.render_sec5_1 ());
+  print_string Ilp_core.Experiments.(measure (render_sec5_1 ()));
   Fmt.pr "@.miss-penalty sweep (stanford, 64-line cache, 3-issue vs 1-issue):@.@.";
   let w =
     match Ilp_workloads.Registry.find "stanford" with

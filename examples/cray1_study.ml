@@ -6,8 +6,8 @@
      dune exec examples/cray1_study.exe *)
 
 let () =
-  print_string (Ilp_core.Experiments.render_table2_1 ());
+  print_string Ilp_core.Experiments.(measure (render_table2_1 ()));
   print_newline ();
   print_string (Ilp_core.Experiments.render_fig4_3 ());
   print_newline ();
-  print_string (Ilp_core.Experiments.render_fig4_4 ())
+  print_string Ilp_core.Experiments.(measure (render_fig4_4 ()))

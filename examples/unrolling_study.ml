@@ -4,7 +4,7 @@
      dune exec examples/unrolling_study.exe *)
 
 let () =
-  print_string (Ilp_core.Experiments.render_fig4_6 ());
+  print_string Ilp_core.Experiments.(measure (render_fig4_6 ()));
   (* show the scheduled inner loop at careful 4x *)
   let w =
     match Ilp_workloads.Registry.find "linpack" with

@@ -10,10 +10,10 @@
    Conventions shared by every instance:
 
    - [init] is the solver's starting value everywhere — the lattice
-     bottom for may-analyses (union join, e.g. liveness, reaching
-     definitions) and the "universe" top for must-analyses
-     (intersection join, e.g. definite assignment, available
-     expressions), where it doubles as the identity of [join];
+     bottom for may-analyses (union join, e.g. liveness) and the
+     "universe" top for must-analyses (intersection join, e.g.
+     definite assignment, available expressions), where it doubles as
+     the identity of [join];
    - [boundary] enters at the entry block (forward) or at blocks
      without successors (backward);
    - blocks unreachable from the entry are never processed and keep

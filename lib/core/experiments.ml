@@ -1,7 +1,8 @@
 (* Reproduction drivers for every table and figure of the paper's
-   evaluation (see DESIGN.md, experiment index).  Each experiment
-   returns structured data plus a text rendering; the CLI, the tests and
-   perfbench go through these entry points. *)
+   evaluation (see DESIGN.md, experiment index).  Each experiment that
+   times programs is a plan: the sweep cells it needs and how it reads
+   their runs back, into structured data and then a text rendering.
+   The CLI, the tests and perfbench go through these entry points. *)
 
 open Ilp_machine
 module W = Ilp_workloads.Workload
@@ -213,32 +214,66 @@ let run_sweep (requests : request array) : Metrics.run array =
     requests
     (sweep (fun _ _ _ run -> run) requests)
 
-(* Measure one workload on many machine configurations through the
-   plan: one capture per register-split group, one replay per
-   configuration. *)
-let measure_workload_many ?level ?unroll (w : W.t) (configs : Config.t list) =
-  Array.to_list
-    (run_sweep
-       (Array.of_list (List.map (request ?level ?unroll w) configs)))
+(* ------------------------------------------------------------------ *)
+(* experiments as plans                                                *)
 
-(* Harmonic-mean suite speedup of each configuration: one flat sweep
-   over (workload x configuration), so phase 1 is one capture per
-   workload and phase 2 one replay per cell, all independent jobs.
-   Result indexed like [configs]. *)
-let harmonic_suite_many ?level (configs : Config.t list) : float array =
-  let configs = Array.of_list configs in
-  let nc = Array.length configs in
-  let workloads = Array.of_list Registry.all in
-  let requests =
-    Array.init
-      (Array.length workloads * nc)
-      (fun k -> request ?level workloads.(k / nc) configs.(k mod nc))
-  in
-  let runs = run_sweep requests in
-  Array.init nc (fun ic ->
-      Metrics.harmonic_mean
-        (List.init (Array.length workloads) (fun iw ->
-             runs.((iw * nc) + ic).Metrics.speedup)))
+(* A measured experiment: the sweep cells it needs, and how it reads
+   their runs, in cell order, into its result.  Plans join, so
+   [run_all] measures every experiment in one sweep, which shares each
+   capture and each cell among the experiments that ask for it. *)
+type 'a plan = { cells : request array; read : Metrics.run array -> 'a }
+
+let measure p = p.read (run_sweep p.cells)
+
+let map f p = { p with read = (fun runs -> f (p.read runs)) }
+
+(* [a]'s cells, then [b]'s; each reads its own slice of the runs, [a]
+   first. *)
+let both a b =
+  let n = Array.length a.cells in
+  { cells = Array.append a.cells b.cells;
+    read =
+      (fun runs ->
+        let x = a.read (Array.sub runs 0 n) in
+        let y = b.read (Array.sub runs n (Array.length runs - n)) in
+        (x, y));
+  }
+
+(* A plan with no cells whose read computes [f ()]: the closed-form
+   figures, and the studies that do not time programs on the sweep. *)
+let compute f () = { cells = [||]; read = (fun _ -> f ()) }
+
+(* One cell per (row, column) pair, row by row; each row reads back as
+   its runs in column order. *)
+let grid rows cols cell =
+  let nc = List.length cols in
+  { cells =
+      Array.of_list (List.concat_map (fun r -> List.map (cell r) cols) rows);
+    read =
+      (fun runs ->
+        List.mapi
+          (fun i _ -> Array.to_list (Array.sub runs (i * nc) nc))
+          rows);
+  }
+
+let speedups = List.map (fun (r : Metrics.run) -> r.Metrics.speedup)
+
+(* Harmonic-mean suite speedup of each configuration, in order: one
+   capture per workload, one replay per cell. *)
+let harmonic_suite configs =
+  map
+    (List.map (fun runs -> Metrics.harmonic_mean (speedups runs)))
+    (grid configs Registry.all (fun config w -> request w config))
+
+(* [row d a b] at each degree [d] of [ds], where [a] and [b] are the
+   suite speedups of the machines [first d] and [second d]. *)
+let by_degree ds first second row =
+  map
+    (fun (a, b) ->
+      List.map2 (fun d (a, b) -> row d a b) ds (List.combine a b))
+    (both
+       (harmonic_suite (List.map first ds))
+       (harmonic_suite (List.map second ds)))
 
 let degrees = [ 1; 2; 3; 4; 5; 6; 7; 8 ]
 
@@ -305,16 +340,10 @@ type table2_1_row = {
   with_measured_mix : float;
 }
 
-(* The measured mix comes from executing the whole benchmark suite: one
-   capture job per workload, fanned out over the pool. *)
-let measured_frequencies () =
-  let runs =
-    run_sweep
-      (Array.of_list
-         (List.map (fun w -> request w Presets.base) Registry.all))
-  in
+(* The instruction-class mix of [runs], as fractions. *)
+let measured_frequencies (runs : Metrics.run list) =
   let totals = Array.make Ilp_ir.Iclass.count 0 in
-  Array.iter
+  List.iter
     (fun (run : Metrics.run) ->
       Array.iteri
         (fun i c -> totals.(i) <- totals.(i) + c)
@@ -323,34 +352,39 @@ let measured_frequencies () =
   let sum = float_of_int (Array.fold_left ( + ) 0 totals) in
   Array.map (fun c -> float_of_int c /. sum) totals
 
+(* The measured mix comes from executing the whole benchmark suite. *)
 let table2_1 () =
   let machines = [ Presets.multititan; Presets.cray1 () ] in
-  let measured = measured_frequencies () in
-  List.map
-    (fun config ->
-      { machine = config.Config.name;
-        with_paper_mix =
-          Superpipelining.average_degree config
-            Superpipelining.paper_frequencies;
-        with_measured_mix = Superpipelining.average_degree config measured;
-      })
-    machines
+  map
+    (fun rows ->
+      let measured = measured_frequencies (List.concat rows) in
+      List.map
+        (fun config ->
+          { machine = config.Config.name;
+            with_paper_mix =
+              Superpipelining.average_degree config
+                Superpipelining.paper_frequencies;
+            with_measured_mix = Superpipelining.average_degree config measured;
+          })
+        machines)
+    (grid Registry.all [ Presets.base ] request)
 
 let render_table2_1 () =
-  let rows = table2_1 () in
-  let body =
-    Report.table
-      ~header:[ "machine"; "avg degree (paper mix)"; "avg degree (measured mix)" ]
-      (List.map
-         (fun r ->
-           [ r.machine;
-             Printf.sprintf "%.2f" r.with_paper_mix;
-             Printf.sprintf "%.2f" r.with_measured_mix ])
-         rows)
-  in
-  Report.section
-    "Table 2-1: average degree of superpipelining (paper: MultiTitan 1.7, CRAY-1 4.4)"
-    body
+  map
+    (fun rows ->
+      Report.section
+        "Table 2-1: average degree of superpipelining (paper: MultiTitan 1.7, CRAY-1 4.4)"
+        (Report.table
+           ~header:
+             [ "machine"; "avg degree (paper mix)";
+               "avg degree (measured mix)" ]
+           (List.map
+              (fun r ->
+                [ r.machine;
+                  Printf.sprintf "%.2f" r.with_paper_mix;
+                  Printf.sprintf "%.2f" r.with_measured_mix ])
+              rows)))
+    (table2_1 ())
 
 (* ------------------------------------------------------------------ *)
 (* Figure 4-1: supersymmetry                                            *)
@@ -364,43 +398,40 @@ type fig4_1 = {
 (* One capture per workload, replayed against all 16 machine
    configurations. *)
 let fig4_1 () =
-  let ss = List.map Presets.superscalar degrees in
-  let sp = List.map Presets.superpipelined degrees in
-  let means = harmonic_suite_many (ss @ sp) in
-  List.mapi
-    (fun k d ->
-      { degree = d;
-        superscalar = means.(k);
-        superpipelined = means.(List.length degrees + k);
-      })
-    degrees
+  by_degree degrees Presets.superscalar Presets.superpipelined
+    (fun degree superscalar superpipelined ->
+      { degree; superscalar; superpipelined })
 
 let render_fig4_1 () =
-  let rows = fig4_1 () in
-  let chart =
-    Report.line_chart ~x_label:"degree" ~y_label:"speedup (harmonic mean)"
-      [ { Report.label = 'S';
-          points =
-            List.map (fun r -> (float_of_int r.degree, r.superscalar)) rows
-        };
-        { Report.label = 'P';
-          points =
-            List.map (fun r -> (float_of_int r.degree, r.superpipelined)) rows
-        } ]
-  in
-  let body =
-    Report.table
-      ~header:[ "degree"; "superscalar"; "superpipelined" ]
-      (List.map
-         (fun r ->
-           [ string_of_int r.degree;
-             Printf.sprintf "%.3f" r.superscalar;
-             Printf.sprintf "%.3f" r.superpipelined ])
-         rows)
-  in
-  Report.section
-    "Figure 4-1: supersymmetry (S = superscalar, P = superpipelined)"
-    (body ^ "\n\n" ^ chart)
+  map
+    (fun rows ->
+      let chart =
+        Report.line_chart ~x_label:"degree" ~y_label:"speedup (harmonic mean)"
+          [ { Report.label = 'S';
+              points =
+                List.map (fun r -> (float_of_int r.degree, r.superscalar)) rows
+            };
+            { Report.label = 'P';
+              points =
+                List.map
+                  (fun r -> (float_of_int r.degree, r.superpipelined))
+                  rows
+            } ]
+      in
+      let body =
+        Report.table
+          ~header:[ "degree"; "superscalar"; "superpipelined" ]
+          (List.map
+             (fun r ->
+               [ string_of_int r.degree;
+                 Printf.sprintf "%.3f" r.superscalar;
+                 Printf.sprintf "%.3f" r.superpipelined ])
+             rows)
+      in
+      Report.section
+        "Figure 4-1: supersymmetry (S = superscalar, P = superpipelined)"
+        (body ^ "\n\n" ^ chart))
+    (fig4_1 ())
 
 (* ------------------------------------------------------------------ *)
 (* Figure 4-2: start-up transient                                        *)
@@ -416,19 +447,18 @@ let render_fig4_2 () =
 (* ------------------------------------------------------------------ *)
 (* Figure 4-3: parallelism required for full utilization                *)
 
-let fig4_3 ?(max_n = 5) ?(max_m = 5) () =
+let fig4_3 () =
   List.map
-    (fun m -> List.map (fun n -> n * m) (List.init max_n (fun i -> i + 1)))
-    (List.rev (List.init max_m (fun i -> i + 1)))
+    (fun m -> List.map (fun n -> n * m) (List.init 5 (fun i -> i + 1)))
+    (List.rev (List.init 5 (fun i -> i + 1)))
 
 let render_fig4_3 () =
-  let grid = fig4_3 () in
   let rows =
     List.mapi
       (fun i row ->
         string_of_int (5 - i)
         :: List.map string_of_int row)
-      grid
+      (fig4_3 ())
   in
   let body =
     Report.table ~header:[ "m\\n"; "1"; "2"; "3"; "4"; "5" ] rows
@@ -445,52 +475,49 @@ let render_fig4_3 () =
 type fig4_4 = { multiplicity : int; unit_latency : float; real_latency : float }
 
 let fig4_4 () =
-  let unit = List.map (fun n -> Presets.cray1_unit_latencies ~issue_width:n ()) degrees in
-  let real = List.map (fun n -> Presets.cray1 ~issue_width:n ()) degrees in
-  let means = harmonic_suite_many (unit @ real) in
-  List.mapi
-    (fun k n ->
-      { multiplicity = n;
-        unit_latency = means.(k);
-        real_latency = means.(List.length degrees + k);
-      })
-    degrees
+  by_degree degrees
+    (fun n -> Presets.cray1_unit_latencies ~issue_width:n ())
+    (fun n -> Presets.cray1 ~issue_width:n ())
+    (fun multiplicity unit_latency real_latency ->
+      { multiplicity; unit_latency; real_latency })
 
 let render_fig4_4 () =
-  let rows = fig4_4 () in
-  let chart =
-    Report.line_chart ~x_label:"instruction issue multiplicity"
-      ~y_label:"speedup vs 1-issue of same machine"
-      [ { Report.label = 'U';
-          points =
-            List.map
-              (fun r -> (float_of_int r.multiplicity, r.unit_latency))
-              rows
-        };
-        { Report.label = 'R';
-          points =
-            List.map
-              (fun r -> (float_of_int r.multiplicity, r.real_latency))
-              rows
-        } ]
-  in
-  let base_unit = (List.hd rows).unit_latency in
-  let base_real = (List.hd rows).real_latency in
-  let body =
-    Report.table
-      ~header:
-        [ "issue width"; "all latencies = 1 (speedup)";
-          "actual CRAY-1 latencies (speedup)" ]
-      (List.map
-         (fun r ->
-           [ string_of_int r.multiplicity;
-             Printf.sprintf "%.3f" (r.unit_latency /. base_unit);
-             Printf.sprintf "%.3f" (r.real_latency /. base_real) ])
-         rows)
-  in
-  Report.section
-    "Figure 4-4: parallel issue on the CRAY-1 with unit (U) and real (R) latencies"
-    (body ^ "\n\n" ^ chart)
+  map
+    (fun rows ->
+      let chart =
+        Report.line_chart ~x_label:"instruction issue multiplicity"
+          ~y_label:"speedup vs 1-issue of same machine"
+          [ { Report.label = 'U';
+              points =
+                List.map
+                  (fun r -> (float_of_int r.multiplicity, r.unit_latency))
+                  rows
+            };
+            { Report.label = 'R';
+              points =
+                List.map
+                  (fun r -> (float_of_int r.multiplicity, r.real_latency))
+                  rows
+            } ]
+      in
+      let base_unit = (List.hd rows).unit_latency in
+      let base_real = (List.hd rows).real_latency in
+      let body =
+        Report.table
+          ~header:
+            [ "issue width"; "all latencies = 1 (speedup)";
+              "actual CRAY-1 latencies (speedup)" ]
+          (List.map
+             (fun r ->
+               [ string_of_int r.multiplicity;
+                 Printf.sprintf "%.3f" (r.unit_latency /. base_unit);
+                 Printf.sprintf "%.3f" (r.real_latency /. base_real) ])
+             rows)
+      in
+      Report.section
+        "Figure 4-4: parallel issue on the CRAY-1 with unit (U) and real (R) latencies"
+        (body ^ "\n\n" ^ chart))
+    (fig4_4 ())
 
 (* ------------------------------------------------------------------ *)
 (* Figure 4-5: instruction-level parallelism by benchmark                *)
@@ -498,38 +525,26 @@ let render_fig4_4 () =
 type fig4_5 = { bench : string; by_degree : (int * float) list }
 
 let fig4_5 () =
-  let configs = Array.of_list (List.map Presets.superscalar degrees) in
-  let nc = Array.length configs in
-  let workloads = Array.of_list Registry.all in
-  let requests =
-    Array.init
-      (Array.length workloads * nc)
-      (fun k -> request workloads.(k / nc) configs.(k mod nc))
-  in
-  let runs = run_sweep requests in
-  List.mapi
-    (fun iw (w : W.t) ->
-      { bench = w.W.name;
-        by_degree =
-          List.mapi (fun ic d -> (d, runs.((iw * nc) + ic).Metrics.speedup))
-            degrees;
-      })
-    (Array.to_list workloads)
+  map
+    (List.map2
+       (fun (w : W.t) runs ->
+         { bench = w.W.name; by_degree = List.combine degrees (speedups runs) })
+       Registry.all)
+    (grid Registry.all degrees (fun w d -> request w (Presets.superscalar d)))
 
 let render_fig4_5 () =
-  let rows = fig4_5 () in
-  let header = "benchmark" :: List.map string_of_int degrees in
-  let body =
-    Report.table ~header
-      (List.map
-         (fun r ->
-           r.bench
-           :: List.map (fun (_, s) -> Printf.sprintf "%.2f" s) r.by_degree)
-         rows)
-  in
-  Report.section
-    "Figure 4-5: parallelism by benchmark on ideal superscalar machines"
-    body
+  map
+    (fun rows ->
+      Report.section
+        "Figure 4-5: parallelism by benchmark on ideal superscalar machines"
+        (Report.table
+           ~header:("benchmark" :: List.map string_of_int degrees)
+           (List.map
+              (fun r ->
+                r.bench
+                :: List.map (fun (_, s) -> Printf.sprintf "%.2f" s) r.by_degree)
+              rows)))
+    (fig4_5 ())
 
 (* ------------------------------------------------------------------ *)
 (* Figure 4-6: parallelism vs loop unrolling                             *)
@@ -560,67 +575,53 @@ let fig4_6 () =
           | None -> invalid_arg ("fig4_6: unknown benchmark " ^ bench_name)
         in
         List.map
-          (fun mode -> (bench_name, w, mode))
+          (fun mode -> (w, mode))
           [ Ilp_lang.Unroll.Naive; Ilp_lang.Unroll.Careful ])
       [ "linpack"; "livermore" ]
   in
-  let series_arr = Array.of_list series in
-  let factors = Array.of_list unroll_factors in
-  let nf = Array.length factors in
-  let requests =
-    Array.init
-      (Array.length series_arr * nf)
-      (fun k ->
-        let _, w, mode = series_arr.(k / nf) in
-        let unroll =
-          Some { Ilp.mode; factor = factors.(k mod nf); bounds = false }
-        in
-        request ~unroll w unroll_config)
-  in
-  let runs = run_sweep requests in
-  List.mapi
-    (fun is (bench, _, mode) ->
-      { bench;
-        mode;
-        by_factor =
-          List.mapi
-            (fun ifc factor ->
-              (factor, runs.((is * nf) + ifc).Metrics.speedup))
-            unroll_factors;
-      })
-    series
+  map
+    (List.map2
+       (fun ((w : W.t), mode) runs ->
+         { bench = w.W.name;
+           mode;
+           by_factor = List.combine unroll_factors (speedups runs);
+         })
+       series)
+    (grid series unroll_factors (fun (w, mode) factor ->
+         request ~unroll:(Some { Ilp.mode; factor; bounds = false }) w
+           unroll_config))
 
 let render_fig4_6 () =
-  let rows = fig4_6 () in
   let mode_name = function
     | Ilp_lang.Unroll.Naive -> "naive"
     | Ilp_lang.Unroll.Careful -> "careful"
   in
-  let header =
-    "series" :: List.map string_of_int unroll_factors
-  in
-  let body =
-    Report.table ~header
-      (List.map
-         (fun r ->
-           (r.bench ^ "." ^ mode_name r.mode)
-           :: List.map (fun (_, s) -> Printf.sprintf "%.2f" s) r.by_factor)
-         rows)
-  in
-  let labels = [ 'l'; 'L'; 'v'; 'V' ] in
-  let chart =
-    Report.line_chart ~x_label:"iterations unrolled" ~y_label:"parallelism"
-      (List.mapi
-         (fun i r ->
-           { Report.label = List.nth labels (i mod 4);
-             points =
-               List.map (fun (f, s) -> (float_of_int f, s)) r.by_factor
-           })
-         rows)
-  in
-  Report.section
-    "Figure 4-6: parallelism vs loop unrolling (l/L = linpack naive/careful, v/V = livermore)"
-    (body ^ "\n\n" ^ chart)
+  map
+    (fun rows ->
+      let body =
+        Report.table
+          ~header:("series" :: List.map string_of_int unroll_factors)
+          (List.map
+             (fun r ->
+               (r.bench ^ "." ^ mode_name r.mode)
+               :: List.map (fun (_, s) -> Printf.sprintf "%.2f" s) r.by_factor)
+             rows)
+      in
+      let labels = [ 'l'; 'L'; 'v'; 'V' ] in
+      let chart =
+        Report.line_chart ~x_label:"iterations unrolled" ~y_label:"parallelism"
+          (List.mapi
+             (fun i r ->
+               { Report.label = List.nth labels (i mod 4);
+                 points =
+                   List.map (fun (f, s) -> (float_of_int f, s)) r.by_factor
+               })
+             rows)
+      in
+      Report.section
+        "Figure 4-6: parallelism vs loop unrolling (l/L = linpack naive/careful, v/V = livermore)"
+        (body ^ "\n\n" ^ chart))
+    (fig4_6 ())
 
 (* ------------------------------------------------------------------ *)
 (* Figure 4-5/4-6 variant: bound-aware unrolling                        *)
@@ -645,60 +646,38 @@ let unroll_study_series =
     (Ilp_lang.Unroll.Careful, true, "careful-peel") ]
 
 let unroll_study () =
-  let workloads =
-    Array.of_list
+  let series =
+    List.concat_map
+      (fun w -> List.map (fun s -> (w, s)) unroll_study_series)
       (List.filter_map Registry.find [ "linpack"; "livermore"; "smooth" ])
   in
-  let series = Array.of_list unroll_study_series in
-  let factors = Array.of_list unroll_factors in
-  let nf = Array.length factors and ns = Array.length series in
-  let requests =
-    Array.init
-      (Array.length workloads * ns * nf)
-      (fun k ->
-        let w = workloads.(k / (ns * nf)) in
-        let mode, bounds, _ = series.(k mod (ns * nf) / nf) in
-        let unroll =
-          Some { Ilp.mode; factor = factors.(k mod nf); bounds }
-        in
-        request ~unroll w unroll_config)
-  in
-  let runs = run_sweep requests in
-  List.concat
-    (List.mapi
-       (fun iw (w : W.t) ->
-         List.mapi
-           (fun is (_, _, name) ->
-             { us_bench = w.W.name;
-               us_series = name;
-               us_by_factor =
-                 List.mapi
-                   (fun ifc factor ->
-                     ( factor,
-                       runs.((iw * ns * nf) + (is * nf) + ifc)
-                         .Metrics.speedup ))
-                   unroll_factors;
-             })
-           unroll_study_series)
-       (Array.to_list workloads))
+  map
+    (List.map2
+       (fun ((w : W.t), (_, _, name)) runs ->
+         { us_bench = w.W.name;
+           us_series = name;
+           us_by_factor = List.combine unroll_factors (speedups runs);
+         })
+       series)
+    (grid series unroll_factors (fun (w, (mode, bounds, _)) factor ->
+         request ~unroll:(Some { Ilp.mode; factor; bounds }) w unroll_config))
 
 let render_unroll_study () =
-  let rows = unroll_study () in
-  let header = "series" :: List.map string_of_int unroll_factors in
-  let body =
-    Report.table ~header
-      (List.map
-         (fun r ->
-           (r.us_bench ^ "." ^ r.us_series)
-           :: List.map
-                (fun (_, s) -> Printf.sprintf "%.2f" s)
-                r.us_by_factor)
-         rows)
-  in
-  Report.section
-    "Figure 4-5/4-6 variant: bound-aware unrolling (full unroll + peeling \
-     vs classic remainder loops)"
-    body
+  map
+    (fun rows ->
+      Report.section
+        "Figure 4-5/4-6 variant: bound-aware unrolling (full unroll + peeling \
+         vs classic remainder loops)"
+        (Report.table
+           ~header:("series" :: List.map string_of_int unroll_factors)
+           (List.map
+              (fun r ->
+                (r.us_bench ^ "." ^ r.us_series)
+                :: List.map
+                     (fun (_, s) -> Printf.sprintf "%.2f" s)
+                     r.us_by_factor)
+              rows)))
+    (unroll_study ())
 
 (* ------------------------------------------------------------------ *)
 (* Figure 4-7: optimization can add or subtract parallelism              *)
@@ -769,43 +748,29 @@ let parallelism_config = Presets.superscalar 8
 (* Each (benchmark, level) cell compiles differently, so each is its own
    capture job; the grid fans out across the pool. *)
 let fig4_8 () =
-  let levels = Array.of_list Ilp.all_levels in
-  let nl = Array.length levels in
-  let workloads = Array.of_list Registry.all in
-  let requests =
-    Array.init
-      (Array.length workloads * nl)
-      (fun k ->
-        request ~level:levels.(k mod nl) workloads.(k / nl)
-          parallelism_config)
-  in
-  let runs = run_sweep requests in
-  List.mapi
-    (fun iw (w : W.t) ->
-      { bench = w.W.name;
-        by_level =
-          List.mapi
-            (fun il level -> (level, runs.((iw * nl) + il).Metrics.speedup))
-            Ilp.all_levels;
-      })
-    (Array.to_list workloads)
+  map
+    (List.map2
+       (fun (w : W.t) runs ->
+         { bench = w.W.name;
+           by_level = List.combine Ilp.all_levels (speedups runs);
+         })
+       Registry.all)
+    (grid Registry.all Ilp.all_levels (fun w level ->
+         request ~level w parallelism_config))
 
 let render_fig4_8 () =
-  let rows = fig4_8 () in
-  let header =
-    "benchmark" :: List.map Ilp.opt_level_name Ilp.all_levels
-  in
-  let body =
-    Report.table ~header
-      (List.map
-         (fun r ->
-           r.bench
-           :: List.map (fun (_, s) -> Printf.sprintf "%.2f" s) r.by_level)
-         rows)
-  in
-  Report.section
-    "Figure 4-8: effect of optimization on parallelism (ideal superscalar degree 8)"
-    body
+  map
+    (fun rows ->
+      Report.section
+        "Figure 4-8: effect of optimization on parallelism (ideal superscalar degree 8)"
+        (Report.table
+           ~header:("benchmark" :: List.map Ilp.opt_level_name Ilp.all_levels)
+           (List.map
+              (fun r ->
+                r.bench
+                :: List.map (fun (_, s) -> Printf.sprintf "%.2f" s) r.by_level)
+              rows)))
+    (fig4_8 ())
 
 (* ------------------------------------------------------------------ *)
 (* Table 5-1: the cost of cache misses                                   *)
@@ -873,43 +838,42 @@ let sec5_1 () =
     | Some w -> w
     | None -> invalid_arg "sec5_1"
   in
-  let narrow = Presets.base in
-  let wide = Presets.superscalar 3 in
   let cache = { lines = 64; line_words = 4; penalty = 12 } in
-  let runs =
-    run_sweep
-      [| request w narrow; request w wide; request ~cache w narrow;
-         request ~cache w wide |]
-  in
-  let narrow_nc = runs.(0) and wide_nc = runs.(1) in
-  let narrow_c = runs.(2) and wide_c = runs.(3) in
-  { analytic_improvement_with_cache = (with_cache -. 1.0) *. 100.0;
-    analytic_improvement_no_cache = (no_cache -. 1.0) *. 100.0;
-    simulated_speedup_no_cache =
-      wide_nc.Metrics.speedup /. narrow_nc.Metrics.speedup;
-    simulated_speedup_with_cache =
-      narrow_c.Metrics.base_cycles /. wide_c.Metrics.base_cycles;
-    simulated_miss_rate =
-      float_of_int narrow_c.Metrics.cache_misses
-      /. float_of_int (max 1 narrow_c.Metrics.cache_accesses);
-  }
+  map
+    (function
+      | [ [ (narrow_nc : Metrics.run); wide_nc ]; [ narrow_c; wide_c ] ] ->
+          { analytic_improvement_with_cache = (with_cache -. 1.0) *. 100.0;
+            analytic_improvement_no_cache = (no_cache -. 1.0) *. 100.0;
+            simulated_speedup_no_cache =
+              wide_nc.Metrics.speedup /. narrow_nc.Metrics.speedup;
+            simulated_speedup_with_cache =
+              narrow_c.Metrics.base_cycles /. wide_c.Metrics.base_cycles;
+            simulated_miss_rate =
+              float_of_int narrow_c.Metrics.cache_misses
+              /. float_of_int (max 1 narrow_c.Metrics.cache_accesses);
+          }
+      | _ -> assert false)
+    (grid [ None; Some cache ] [ Presets.base; Presets.superscalar 3 ]
+       (fun cache config -> request ?cache w config))
 
 let render_sec5_1 () =
-  let r = sec5_1 () in
-  Report.section
-    "Section 5.1: cache misses dilute parallel issue (paper: 33% vs 100%)"
-    (Report.table
-       ~header:[ "quantity"; "value" ]
-       [ [ "analytic improvement, 3-issue, with cache burden";
-           Printf.sprintf "%.0f%%" r.analytic_improvement_with_cache ];
-         [ "analytic improvement, 3-issue, no cache burden";
-           Printf.sprintf "%.0f%%" r.analytic_improvement_no_cache ];
-         [ "simulated 3-issue speedup, no cache";
-           Printf.sprintf "%.2fx" r.simulated_speedup_no_cache ];
-         [ "simulated 3-issue speedup, blocking cache";
-           Printf.sprintf "%.2fx" r.simulated_speedup_with_cache ];
-         [ "simulated miss rate";
-           Printf.sprintf "%.1f%%" (r.simulated_miss_rate *. 100.0) ] ])
+  map
+    (fun r ->
+      Report.section
+        "Section 5.1: cache misses dilute parallel issue (paper: 33% vs 100%)"
+        (Report.table
+           ~header:[ "quantity"; "value" ]
+           [ [ "analytic improvement, 3-issue, with cache burden";
+               Printf.sprintf "%.0f%%" r.analytic_improvement_with_cache ];
+             [ "analytic improvement, 3-issue, no cache burden";
+               Printf.sprintf "%.0f%%" r.analytic_improvement_no_cache ];
+             [ "simulated 3-issue speedup, no cache";
+               Printf.sprintf "%.2fx" r.simulated_speedup_no_cache ];
+             [ "simulated 3-issue speedup, blocking cache";
+               Printf.sprintf "%.2fx" r.simulated_speedup_with_cache ];
+             [ "simulated miss rate";
+               Printf.sprintf "%.1f%%" (r.simulated_miss_rate *. 100.0) ] ]))
+    (sec5_1 ())
 
 (* ------------------------------------------------------------------ *)
 (* Ablations called out in DESIGN.md                                     *)
@@ -930,62 +894,53 @@ let ablation_temps () =
   let unroll =
     Some { Ilp.mode = Ilp_lang.Unroll.Careful; factor = 10; bounds = false }
   in
-  let requests =
-    Array.of_list
-      (List.map
-         (fun temps ->
-           let config =
-             Config.make
-               (Printf.sprintf "ss16-%dtemps" temps)
-               ~issue_width:16 ~temp_regs:temps
-           in
-           request ~unroll w config)
-         temp_counts)
-  in
-  let runs = run_sweep requests in
-  List.mapi
-    (fun k temps -> { temps; parallelism = runs.(k).Metrics.speedup })
-    temp_counts
+  map
+    (fun rows ->
+      List.map2
+        (fun temps parallelism -> { temps; parallelism })
+        temp_counts
+        (speedups (List.concat rows)))
+    (grid temp_counts [ w ] (fun temps w ->
+         request ~unroll w
+           (Config.make
+              (Printf.sprintf "ss16-%dtemps" temps)
+              ~issue_width:16 ~temp_regs:temps)))
 
 let render_ablation_temps () =
-  let rows = ablation_temps () in
-  Report.section
-    "Ablation: temporary-register count vs parallelism (linpack, careful 10x)"
-    (Report.table
-       ~header:[ "temps"; "parallelism" ]
-       (List.map
-          (fun r ->
-            [ string_of_int r.temps; Printf.sprintf "%.2f" r.parallelism ])
-          rows))
+  map
+    (fun rows ->
+      Report.section
+        "Ablation: temporary-register count vs parallelism (linpack, careful 10x)"
+        (Report.table
+           ~header:[ "temps"; "parallelism" ]
+           (List.map
+              (fun r ->
+                [ string_of_int r.temps; Printf.sprintf "%.2f" r.parallelism ])
+              rows)))
+    (ablation_temps ())
 
 (* Class conflicts: ideal superscalar vs one with single-copy units. *)
 type ablation_conflicts_row = { degree : int; ideal : float; conflicts : float }
 
 let ablation_class_conflicts () =
-  let ds = [ 1; 2; 4; 8 ] in
-  let ideal = List.map Presets.superscalar ds in
-  let conflicted = List.map Presets.superscalar_with_class_conflicts ds in
-  let means = harmonic_suite_many (ideal @ conflicted) in
-  List.mapi
-    (fun k d ->
-      { degree = d;
-        ideal = means.(k);
-        conflicts = means.(List.length ds + k);
-      })
-    ds
+  by_degree [ 1; 2; 4; 8 ] Presets.superscalar
+    Presets.superscalar_with_class_conflicts (fun degree ideal conflicts ->
+      { degree; ideal; conflicts })
 
 let render_ablation_class_conflicts () =
-  let rows = ablation_class_conflicts () in
-  Report.section
-    "Ablation: class conflicts (Section 2.3.2) - ideal vs single-copy functional units"
-    (Report.table
-       ~header:[ "degree"; "ideal"; "with class conflicts" ]
-       (List.map
-          (fun r ->
-            [ string_of_int r.degree;
-              Printf.sprintf "%.3f" r.ideal;
-              Printf.sprintf "%.3f" r.conflicts ])
-          rows))
+  map
+    (fun rows ->
+      Report.section
+        "Ablation: class conflicts (Section 2.3.2) - ideal vs single-copy functional units"
+        (Report.table
+           ~header:[ "degree"; "ideal"; "with class conflicts" ]
+           (List.map
+              (fun r ->
+                [ string_of_int r.degree;
+                  Printf.sprintf "%.3f" r.ideal;
+                  Printf.sprintf "%.3f" r.conflicts ])
+              rows)))
+    (ablation_class_conflicts ())
 
 (* ------------------------------------------------------------------ *)
 (* Figure 2-8 and the Section 2.3 vector-equivalence argument            *)
@@ -1050,64 +1005,70 @@ let sec2_3_vector () =
            one_unit "mem" [ Iclass.Load; Iclass.Store ];
            one_unit "ctl" [ Iclass.Branch; Iclass.Jump ] ])
   in
-  let runs =
-    run_sweep [| request loop Presets.base; request loop vector_equiv |]
-  in
-  { base_cycles_per_element = runs.(0).Metrics.base_cycles /. elements;
-    superscalar_cycles_per_element = runs.(1).Metrics.base_cycles /. elements;
-  }
+  map
+    (function
+      | [ [ (base : Metrics.run); equiv ] ] ->
+          { base_cycles_per_element = base.Metrics.base_cycles /. elements;
+            superscalar_cycles_per_element =
+              equiv.Metrics.base_cycles /. elements;
+          }
+      | _ -> assert false)
+    (grid [ loop ] [ Presets.base; vector_equiv ] request)
 
 let render_sec2_3_vector () =
-  let r = sec2_3_vector () in
-  Report.section
-    "Section 2.3: superscalar equivalence with a chained vector unit"
-    (Report.table
-       ~header:[ "machine"; "cycles per vector element" ]
-       [ [ "base (1 issue)";
-           Printf.sprintf "%.2f" r.base_cycles_per_element ];
-         [ "4-issue, one fixed/FP/mem/ctl unit each";
-           Printf.sprintf "%.2f" r.superscalar_cycles_per_element ] ]
-    ^ "\n(a chained vector machine sustains 1.0 element per cycle; the\n\
-       4-issue superscalar with one unit per kind approaches that rate,\n\
-       held just above it by the loop's second control transfer, the\n\
-       back-edge jump our compiler does not rotate away)")
+  map
+    (fun r ->
+      Report.section
+        "Section 2.3: superscalar equivalence with a chained vector unit"
+        (Report.table
+           ~header:[ "machine"; "cycles per vector element" ]
+           [ [ "base (1 issue)";
+               Printf.sprintf "%.2f" r.base_cycles_per_element ];
+             [ "4-issue, one fixed/FP/mem/ctl unit each";
+               Printf.sprintf "%.2f" r.superscalar_cycles_per_element ] ]
+        ^ "\n(a chained vector machine sustains 1.0 element per cycle; the\n\
+           4-issue superscalar with one unit per kind approaches that rate,\n\
+           held just above it by the loop's second control transfer, the\n\
+           back-edge jump our compiler does not rotate away)"))
+    (sec2_3_vector ())
 
 (* ------------------------------------------------------------------ *)
 (* Issue-width histogram (extension: where do the issue slots go?)      *)
 
 type issue_histogram = { bench : string; buckets : float array }
 
-let issue_histogram ?(width = 4) () =
-  let config = Presets.superscalar width in
-  let runs =
-    run_sweep
-      (Array.of_list (List.map (fun w -> request w config) Registry.all))
-  in
-  List.mapi
-    (fun k (w : W.t) ->
-      let histogram = runs.(k).Metrics.issue_histogram in
-      let total = float_of_int (Array.fold_left ( + ) 0 histogram) in
-      { bench = w.W.name;
-        buckets =
-          Array.map (fun c -> 100.0 *. float_of_int c /. total) histogram;
-      })
-    Registry.all
+let issue_histogram () =
+  map
+    (fun rows ->
+      List.map2
+        (fun (w : W.t) (run : Metrics.run) ->
+          let histogram = run.Metrics.issue_histogram in
+          let total = float_of_int (Array.fold_left ( + ) 0 histogram) in
+          { bench = w.W.name;
+            buckets =
+              Array.map (fun c -> 100.0 *. float_of_int c /. total) histogram;
+          })
+        Registry.all (List.concat rows))
+    (grid Registry.all [ Presets.superscalar 4 ] request)
 
 let render_issue_histogram () =
-  let rows = issue_histogram () in
-  let width = Array.length (List.hd rows).buckets - 1 in
-  let header =
-    "benchmark" :: List.init (width + 1) (fun k -> Printf.sprintf "%d/cyc" k)
-  in
-  Report.section
-    "Extension: issue-width histogram (ideal superscalar degree 4, % of cycles)"
-    (Report.table ~header
-       (List.map
-          (fun r ->
-            r.bench
-            :: Array.to_list
-                 (Array.map (fun p -> Printf.sprintf "%.0f%%" p) r.buckets))
-          rows))
+  map
+    (fun rows ->
+      let width = Array.length (List.hd rows).buckets - 1 in
+      let header =
+        "benchmark"
+        :: List.init (width + 1) (fun k -> Printf.sprintf "%d/cyc" k)
+      in
+      Report.section
+        "Extension: issue-width histogram (ideal superscalar degree 4, % of cycles)"
+        (Report.table ~header
+           (List.map
+              (fun r ->
+                r.bench
+                :: Array.to_list
+                     (Array.map (fun p -> Printf.sprintf "%.0f%%" p) r.buckets))
+              rows)))
+    (issue_histogram ())
 
 (* ------------------------------------------------------------------ *)
 (* Branch ablation (DESIGN.md decision 2)                                *)
@@ -1119,37 +1080,28 @@ type ablation_branch_row = {
 }
 
 let ablation_branch () =
-  let ds = [ 1; 2; 4; 8 ] in
-  let free = List.map Presets.superscalar ds in
-  let limited =
-    List.map
-      (fun d ->
-        Config.make
-          (Printf.sprintf "superscalar-%d-bep" d)
-          ~issue_width:d ~branch_ends_packet:true)
-      ds
-  in
-  let means = harmonic_suite_many (free @ limited) in
-  List.mapi
-    (fun k d ->
-      { degree = d;
-        issue_past_branches = means.(k);
-        branch_ends_packet = means.(List.length ds + k);
-      })
-    ds
+  by_degree [ 1; 2; 4; 8 ] Presets.superscalar
+    (fun d ->
+      Config.make
+        (Printf.sprintf "superscalar-%d-bep" d)
+        ~issue_width:d ~branch_ends_packet:true)
+    (fun degree issue_past_branches branch_ends_packet ->
+      { degree; issue_past_branches; branch_ends_packet })
 
 let render_ablation_branch () =
-  let rows = ablation_branch () in
-  Report.section
-    "Ablation: issuing past branches (perfect prediction) vs branches ending the packet"
-    (Report.table
-       ~header:[ "degree"; "issue past branches"; "branch ends packet" ]
-       (List.map
-          (fun r ->
-            [ string_of_int r.degree;
-              Printf.sprintf "%.3f" r.issue_past_branches;
-              Printf.sprintf "%.3f" r.branch_ends_packet ])
-          rows))
+  map
+    (fun rows ->
+      Report.section
+        "Ablation: issuing past branches (perfect prediction) vs branches ending the packet"
+        (Report.table
+           ~header:[ "degree"; "issue past branches"; "branch ends packet" ]
+           (List.map
+              (fun r ->
+                [ string_of_int r.degree;
+                  Printf.sprintf "%.3f" r.issue_past_branches;
+                  Printf.sprintf "%.3f" r.branch_ends_packet ])
+              rows)))
+    (ablation_branch ())
 
 (* ------------------------------------------------------------------ *)
 (* Extension: static memory disambiguation (alias-aware scheduling)     *)
@@ -1169,52 +1121,45 @@ let memdep_degrees = [ 1; 2; 4; 8 ]
    alias-disambiguated scheduling — off one shared capture per workload,
    since [rq_memdep] is not part of the capture key. *)
 let memdep_study () =
-  let workloads =
-    Array.of_list
+  let cells =
+    List.concat_map
+      (fun w -> List.map (fun d -> (w, d)) memdep_degrees)
       (List.filter_map Registry.find [ "smooth"; "linpack"; "livermore" ])
   in
-  let ds = Array.of_list memdep_degrees in
-  let nd = Array.length ds in
-  let requests =
-    Array.init
-      (Array.length workloads * nd * 2)
-      (fun k ->
-        let w = workloads.(k / (nd * 2)) in
-        let d = ds.(k mod (nd * 2) / 2) in
-        request ~memdep:(k mod 2 = 1) w (Presets.superscalar d))
-  in
-  let runs = run_sweep requests in
-  List.concat
-    (List.mapi
-       (fun iw (w : W.t) ->
-         List.mapi
-           (fun id d ->
-             let cell = (iw * nd * 2) + (id * 2) in
+  map
+    (List.map2
+       (fun ((w : W.t), d) runs ->
+         match speedups runs with
+         | [ md_conservative; md_disambiguated ] ->
              { md_bench = w.W.name;
                md_degree = d;
-               md_conservative = runs.(cell).Metrics.speedup;
-               md_disambiguated = runs.(cell + 1).Metrics.speedup;
-             })
-           memdep_degrees)
-       (Array.to_list workloads))
+               md_conservative;
+               md_disambiguated;
+             }
+         | _ -> assert false)
+       cells)
+    (grid cells [ false; true ] (fun (w, d) memdep ->
+         request ~memdep w (Presets.superscalar d)))
 
 let render_memdep () =
-  let rows = memdep_study () in
-  Report.section
-    "Extension: static memory disambiguation (conservative vs alias-aware scheduling)"
-    (Report.table
-       ~header:
-         [ "benchmark"; "degree"; "conservative"; "disambiguated"; "gain" ]
-       (List.map
-          (fun r ->
-            [ r.md_bench;
-              string_of_int r.md_degree;
-              Printf.sprintf "%.3f" r.md_conservative;
-              Printf.sprintf "%.3f" r.md_disambiguated;
-              Printf.sprintf "%+.1f%%"
-                (100.0 *. ((r.md_disambiguated /. r.md_conservative) -. 1.0))
-            ])
-          rows))
+  map
+    (fun rows ->
+      Report.section
+        "Extension: static memory disambiguation (conservative vs alias-aware scheduling)"
+        (Report.table
+           ~header:
+             [ "benchmark"; "degree"; "conservative"; "disambiguated"; "gain" ]
+           (List.map
+              (fun r ->
+                [ r.md_bench;
+                  string_of_int r.md_degree;
+                  Printf.sprintf "%.3f" r.md_conservative;
+                  Printf.sprintf "%.3f" r.md_disambiguated;
+                  Printf.sprintf "%+.1f%%"
+                    (100.0
+                    *. ((r.md_disambiguated /. r.md_conservative) -. 1.0)) ])
+              rows)))
+    (memdep_study ())
 
 (* ------------------------------------------------------------------ *)
 (* What the value-range tier of the disambiguation buys (extension)     *)
@@ -1237,51 +1182,46 @@ type rangedep_row = {
    range tier can only add [No_alias] verdicts on top of the symbolic
    tiers, so [rd_pruned_rng >= rd_pruned_sym] must hold everywhere;
    test_range checks that, strict improvement somewhere, and checksum
-   equality. *)
+   equality.  Each workload is one task on the engine's pool, and every
+   [Memdep.t] is created and forced inside its task. *)
 let rangedep_study () =
-  List.map
-    (fun (w : W.t) ->
-      let unroll =
-        if w.W.default_unroll > 1 then
-          Some
-            { Ilp.mode = Ilp_lang.Unroll.Naive;
-              factor = w.W.default_unroll;
-              bounds = false;
-            }
-        else None
-      in
-      let program =
-        Ilp.compile_unscheduled ?unroll ~check:!checks ~level:Ilp.O4
-          Presets.base w.W.source
-      in
-      let tally ranges =
-        List.fold_left
-          (fun (pairs, pruned) f ->
-            let s =
-              Ilp_analysis.Memdep.func_stats
-                (Ilp_analysis.Memdep.analyze ~ranges f)
-                f
-            in
-            ( pairs + s.Ilp_analysis.Memdep.pairs,
-              pruned + s.Ilp_analysis.Memdep.pruned ))
-          (0, 0) program.Ilp_ir.Program.functions
-      in
-      let pairs, pruned_sym = tally false in
-      let _, pruned_rng = tally true in
-      let sink ranges =
-        let p =
-          Ilp.compile ?unroll ~check:!checks ~memdep:true ~ranges ~level:Ilp.O4
-            (Presets.superscalar 4) w.W.source
-        in
-        (Ilp_sim.Exec.run p).Ilp_sim.Exec.sink
-      in
-      { rd_bench = w.W.name;
-        rd_pairs = pairs;
-        rd_pruned_sym = pruned_sym;
-        rd_pruned_rng = pruned_rng;
-        rd_sink_equal = sink false = sink true;
-      })
-    (Registry.all @ Registry.extras)
+  let check = !checks in
+  Array.to_list
+    (par_map
+       (fun (w : W.t) ->
+         let unroll, source = workload_source w in
+         let program =
+           Ilp.compile_unscheduled ?unroll ~check ~level:Ilp.O4 Presets.base
+             source
+         in
+         let tally ranges =
+           List.fold_left
+             (fun (pairs, pruned) f ->
+               let s =
+                 Ilp_analysis.Memdep.func_stats
+                   (Ilp_analysis.Memdep.analyze ~ranges f)
+                   f
+               in
+               ( pairs + s.Ilp_analysis.Memdep.pairs,
+                 pruned + s.Ilp_analysis.Memdep.pruned ))
+             (0, 0) program.Ilp_ir.Program.functions
+         in
+         let pairs, pruned_sym = tally false in
+         let _, pruned_rng = tally true in
+         let sink ranges =
+           let p =
+             Ilp.compile ?unroll ~check ~memdep:true ~ranges ~level:Ilp.O4
+               (Presets.superscalar 4) source
+           in
+           (Ilp_sim.Exec.run p).Ilp_sim.Exec.sink
+         in
+         { rd_bench = w.W.name;
+           rd_pairs = pairs;
+           rd_pruned_sym = pruned_sym;
+           rd_pruned_rng = pruned_rng;
+           rd_sink_equal = sink false = sink true;
+         })
+       (Array.of_list (Registry.all @ Registry.extras)))
 
 let render_rangedep () =
   let rows = rangedep_study () in
@@ -1419,32 +1359,43 @@ let render_static_bounds () =
 
 (* ------------------------------------------------------------------ *)
 
-let all : (string * (unit -> string)) list =
-  [ ("fig1_1", render_fig1_1);
-    ("fig2_diagrams", render_fig2_diagrams);
-    ("fig2_8", render_fig2_8);
+(* Every experiment's rendering, as a plan built on demand, so that
+   loading the library builds no requests.  Static bounds runs a sweep
+   of its own inside its read: its rows need each cell's trace and
+   binary, which the runs a plan reads do not carry. *)
+let all : (string * (unit -> string plan)) list =
+  [ ("fig1_1", compute render_fig1_1);
+    ("fig2_diagrams", compute render_fig2_diagrams);
+    ("fig2_8", compute render_fig2_8);
     ("sec2_3_vector", render_sec2_3_vector);
     ("table2_1", render_table2_1);
     ("fig4_1", render_fig4_1);
-    ("fig4_2", render_fig4_2);
-    ("fig4_3", render_fig4_3);
+    ("fig4_2", compute render_fig4_2);
+    ("fig4_3", compute render_fig4_3);
     ("fig4_4", render_fig4_4);
     ("fig4_5", render_fig4_5);
     ("fig4_6", render_fig4_6);
     ("fig4_5_unroll", render_unroll_study);
-    ("fig4_7", render_fig4_7);
+    ("fig4_7", compute render_fig4_7);
     ("fig4_8", render_fig4_8);
-    ("table5_1", render_table5_1);
+    ("table5_1", compute render_table5_1);
     ("sec5_1", render_sec5_1);
     ("issue_histogram", render_issue_histogram);
     ("ablation_temps", render_ablation_temps);
     ("ablation_class_conflicts", render_ablation_class_conflicts);
     ("ablation_branch", render_ablation_branch);
     ("memdep", render_memdep);
-    ("rangedep", render_rangedep);
-    ("fig4_static_bounds", render_static_bounds) ]
+    ("rangedep", compute render_rangedep);
+    ("fig4_static_bounds", compute render_static_bounds) ]
 
-let find name = List.assoc_opt name all
+let find name =
+  Option.map (fun plan () -> measure (plan ())) (List.assoc_opt name all)
 
+(* Every experiment joined into one plan: the whole evaluation is one
+   sweep, plus the one static bounds runs in its read. *)
 let run_all () =
-  String.concat "\n" (List.map (fun (_, render) -> render ()) all)
+  let join (_, plan) rest =
+    map (fun (s, ss) -> s :: ss) (both (plan ()) rest)
+  in
+  String.concat "\n"
+    (measure (List.fold_right join all (compute (fun () -> []) ())))

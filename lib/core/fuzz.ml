@@ -30,14 +30,12 @@ type failure = {
 
 exception Failed of failure
 
-let default_configs () =
+let configs () =
   [
     Presets.base;
     Presets.superscalar_with_class_conflicts 4;
     Config.make "ss8-6temps" ~issue_width:8 ~temp_regs:6;
   ]
-
-let default_levels = Ilp.all_levels
 
 (* Random programs are all-integer, so careful unrolling is exact;
    every corpus checks one classic careful factor plus one bound-aware
@@ -77,7 +75,7 @@ let exec_options =
    statically and Diffcheck compares its per-address store streams
    against the unscheduled program, so a wrong [No_alias] verdict
    surfaces on the general corpus as well as the adversarial one. *)
-let failure_of ~configs ~levels ~unroll_specs source =
+let failure_of ~configs ~unroll_specs source =
   let explain = function
     | Diffcheck.Mismatch { stage; what } ->
         Printf.sprintf "differential mismatch after %s: %s" stage what
@@ -89,38 +87,34 @@ let failure_of ~configs ~levels ~unroll_specs source =
     (fun config ->
       match
         Diffcheck.check_workload ~options:exec_options
-          ~granularity:`Every_pass ~memdep:true ~levels ~unroll_specs config
-          source
+          ~granularity:`Every_pass ~memdep:true ~levels:Ilp.all_levels
+          ~unroll_specs config source
       with
       | () -> None
       | exception e -> Some (config.Config.name, explain e))
     configs
 
-let check_one ~mode ~configs ~levels ~unroll_specs ~seed index =
+let check_one ~mode ~configs ~unroll_specs ~seed index =
   let st = Random.State.make [| 0x1197; seed; index |] in
   let prog = Gen_prog.generate ~mode st in
   let fails p =
     Option.is_some
-      (failure_of ~configs ~levels ~unroll_specs (Gen_prog.render p))
+      (failure_of ~configs ~unroll_specs (Gen_prog.render p))
   in
-  match failure_of ~configs ~levels ~unroll_specs (Gen_prog.render prog) with
+  match failure_of ~configs ~unroll_specs (Gen_prog.render prog) with
   | None -> ()
   | Some _ ->
       let shrunk = Gen_prog.shrink ~still_fails:fails prog in
       let source = Gen_prog.render shrunk in
       let config_name, error =
-        match failure_of ~configs ~levels ~unroll_specs source with
+        match failure_of ~configs ~unroll_specs source with
         | Some f -> f
         | None -> assert false (* [shrink] only returns failing programs *)
       in
       raise (Failed { index; seed; config_name; error; source })
 
-let run ?(jobs = 1) ?configs ?(levels = default_levels) ?unroll_specs
-    ?(alias_heavy = false) ?(unroll_heavy = false) ?(range_heavy = false)
-    ~count ~seed () =
-  let configs =
-    match configs with Some cs -> cs | None -> default_configs ()
-  in
+let run ?(jobs = 1) ?(alias_heavy = false) ?(unroll_heavy = false)
+    ?(range_heavy = false) ~count ~seed () =
   let mode =
     if unroll_heavy then `Unroll_heavy
     else if alias_heavy then `Alias_heavy
@@ -128,12 +122,10 @@ let run ?(jobs = 1) ?configs ?(levels = default_levels) ?unroll_specs
     else `Default
   in
   let unroll_specs =
-    match unroll_specs with
-    | Some specs -> specs
-    | None -> if unroll_heavy then unroll_heavy_specs else default_unroll_specs
+    if unroll_heavy then unroll_heavy_specs else default_unroll_specs
   in
   let items = Array.init count (fun k -> k) in
-  let check = check_one ~mode ~configs ~levels ~unroll_specs ~seed in
+  let check = check_one ~mode ~configs:(configs ()) ~unroll_specs ~seed in
   if jobs <= 1 then Array.iter check items
   else
     Ilp_par.Pool.with_pool ~jobs (fun pool ->

@@ -10,8 +10,6 @@
     pool re-raises the lowest-index failure.  Failing programs are
     shrunk to a local minimum before being reported. *)
 
-open Ilp_machine
-
 type failure = {
   index : int;  (** which iteration failed *)
   seed : int;
@@ -24,9 +22,6 @@ exception Failed of failure
 
 val run :
   ?jobs:int ->
-  ?configs:Config.t list ->
-  ?levels:Ilp.opt_level list ->
-  ?unroll_specs:Ilp.unroll_spec list ->
   ?alias_heavy:bool ->
   ?unroll_heavy:bool ->
   ?range_heavy:bool ->
@@ -38,13 +33,12 @@ val run :
     counterexample of the lowest failing iteration, if any.  Every
     iteration additionally checks the alias-disambiguated schedule
     (memory-dependence pruning under [Check_sched] re-justification and
-    exact store-stream comparison) and each unroll spec in
-    [unroll_specs] at O4 (default: careful x3 classic plus careful x4
-    bound-aware).  [?alias_heavy] draws from the aliasing-adversarial
-    generator mode; [?unroll_heavy] draws from the unrolling-adversarial
-    mode (small constant bounds, down-counting loops, boundary trip
-    counts, index-mutating bodies) and widens the default spec list to
-    both modes, factors up to 8, and both bound settings;
+    exact store-stream comparison) and two unroll specs at O4 (careful
+    x3 classic plus careful x4 bound-aware).  [?alias_heavy] draws from
+    the aliasing-adversarial generator mode; [?unroll_heavy] draws from
+    the unrolling-adversarial mode (small constant bounds, down-counting
+    loops, boundary trip counts, index-mutating bodies) and widens the
+    spec list to both modes, factors up to 8, and both bound settings;
     [?range_heavy] draws from the range-adversarial mode (stride-2/3
     index arithmetic, split array windows, near-extent loop bounds,
     widening-stressing nested accumulators) — the shapes only the

@@ -223,9 +223,8 @@ let compile ?unroll ?check ?memdep ?ranges ?on_pass ~level (config : Config.t)
     (compile_unscheduled ?unroll ?check ?on_pass ~level config source)
 
 (* Compile, capture and replay in one step. *)
-let measure ?unroll ?(level = O4) ?memdep ?ranges ?cache ?options
-    (config : Config.t) source =
-  let program = compile ?unroll ?memdep ?ranges ~level config source in
-  Ilp_sim.Metrics.measure_replay ?cache ?options config
-    (Ilp_sim.Trace_buffer.capture ?options program)
+let measure ?unroll ?(level = O4) ?memdep ?cache (config : Config.t) source =
+  let program = compile ?unroll ?memdep ~level config source in
+  Ilp_sim.Metrics.measure_replay ?cache config
+    (Ilp_sim.Trace_buffer.capture program)
     program

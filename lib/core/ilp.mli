@@ -140,9 +140,7 @@ val measure :
   ?unroll:unroll_spec ->
   ?level:opt_level ->
   ?memdep:bool ->
-  ?ranges:bool ->
   ?cache:Ilp_sim.Cache.t ->
-  ?options:Ilp_sim.Exec.options ->
   Config.t ->
   string ->
   Ilp_sim.Metrics.run

@@ -48,11 +48,11 @@ let table ~header rows =
 
 type series = { label : char; points : (float * float) list }
 
-(* An ASCII scatter/line chart.  Each series is plotted with its label
-   character; overlapping points show the later series.  Axes are scaled
-   to the data (y from 0 unless [y_from_zero] is false). *)
-let line_chart ?(width = 60) ?(height = 18) ?(y_from_zero = true)
-    ?(x_label = "") ?(y_label = "") series =
+(* An ASCII scatter/line chart, 60 columns by 18 rows.  Each series is
+   plotted with its label character; overlapping points show the later
+   series.  Axes are scaled to the data, y from 0. *)
+let line_chart ?(x_label = "") ?(y_label = "") series =
+  let width = 60 and height = 18 in
   let all_points = List.concat_map (fun s -> s.points) series in
   match all_points with
   | [] -> "(no data)"
@@ -60,9 +60,7 @@ let line_chart ?(width = 60) ?(height = 18) ?(y_from_zero = true)
       let xs = List.map fst all_points and ys = List.map snd all_points in
       let x_min = List.fold_left min infinity xs in
       let x_max = List.fold_left max neg_infinity xs in
-      let y_min =
-        if y_from_zero then 0.0 else List.fold_left min infinity ys
-      in
+      let y_min = 0.0 in
       let y_max = List.fold_left max neg_infinity ys in
       let y_max = if y_max <= y_min then y_min +. 1.0 else y_max in
       let x_max = if x_max <= x_min then x_min +. 1.0 else x_max in

@@ -10,15 +10,12 @@ val table : header:string list -> string list list -> string
 type series = { label : char; points : (float * float) list }
 
 val line_chart :
-  ?width:int ->
-  ?height:int ->
-  ?y_from_zero:bool ->
   ?x_label:string ->
   ?y_label:string ->
   series list ->
   string
-(** Interpolated ASCII chart; overlapping points show the later
-    series. *)
+(** Interpolated ASCII chart, 60 columns by 18 rows with y from 0;
+    overlapping points show the later series. *)
 
 val section : string -> string -> string
 (** A titled block. *)

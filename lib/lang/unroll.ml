@@ -483,11 +483,15 @@ let fresh_counters () =
 
 let count_skip cnt reason = incr (List.assoc reason cnt.n_skips)
 
+(* With bound analysis on, loops of at most this many trips are fully
+   unrolled; longer ones with known trip counts are peeled. *)
+let full_threshold = 8
+
 (* Rewrite statements, unrolling innermost counted loops.  [env] is the
    constant environment at the current program point; it feeds the
    bound analysis that classifies each loop. *)
-let rec unroll_stmts ~mode ~factor ~bounds ~full_threshold cnt env stmts =
-  let recurse = unroll_stmts ~mode ~factor ~bounds ~full_threshold cnt in
+let rec unroll_stmts ~mode ~factor ~bounds cnt env stmts =
+  let recurse = unroll_stmts ~mode ~factor ~bounds cnt in
   let env = ref env in
   List.concat_map
     (fun s ->
@@ -539,8 +543,7 @@ let rec unroll_stmts ~mode ~factor ~bounds ~full_threshold cnt env stmts =
       out)
     stmts
 
-let program_stats ?(bounds = false) ?(full_threshold = 8) mode factor
-    (p : Tast.tprogram) =
+let program_stats ?(bounds = false) mode factor (p : Tast.tprogram) =
   if factor <= 1 then (p, no_stats)
   else begin
     let cnt = fresh_counters () in
@@ -551,8 +554,8 @@ let program_stats ?(bounds = false) ?(full_threshold = 8) mode factor
             (fun f ->
               { f with
                 Tast.tf_body =
-                  unroll_stmts ~mode ~factor ~bounds ~full_threshold cnt
-                    Bounds.Env.empty f.Tast.tf_body;
+                  unroll_stmts ~mode ~factor ~bounds cnt Bounds.Env.empty
+                    f.Tast.tf_body;
               })
             p.Tast.tfuncs;
       }
@@ -565,5 +568,5 @@ let program_stats ?(bounds = false) ?(full_threshold = 8) mode factor
       } )
   end
 
-let program ?bounds ?full_threshold mode factor (p : Tast.tprogram) =
-  fst (program_stats ?bounds ?full_threshold mode factor p)
+let program ?bounds mode factor (p : Tast.tprogram) =
+  fst (program_stats ?bounds mode factor p)

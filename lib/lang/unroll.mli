@@ -21,7 +21,7 @@
     body invalidates) are always skipped with a per-reason counter —
     unrolling them is a miscompile.  With [~bounds:true], loops whose
     trip count folds to a compile-time constant are additionally
-    {e fully unrolled} (trip count ≤ [full_threshold]: straight-line
+    {e fully unrolled} (trip count ≤ 8: straight-line
     copies, no loop, no remainder) or {e peeled} ([trips mod factor]
     leading copies so the main loop's residual count is an exact
     multiple of the factor — no remainder loop).
@@ -64,7 +64,6 @@ val skip_count : stats -> skip_reason -> int
 
 val program :
   ?bounds:bool ->
-  ?full_threshold:int ->
   mode ->
   int ->
   Tast.tprogram ->
@@ -72,12 +71,10 @@ val program :
 (** [program mode factor p]: unroll every innermost counted loop of
     every function by [factor] (1 = identity).  [bounds] (default
     [false]) enables full unroll and peeling for loops with known trip
-    counts; [full_threshold] (default 8) caps the trip count that is
-    fully unrolled. *)
+    counts; loops of at most 8 trips are fully unrolled. *)
 
 val program_stats :
   ?bounds:bool ->
-  ?full_threshold:int ->
   mode ->
   int ->
   Tast.tprogram ->

@@ -44,9 +44,9 @@ let default_home_regs = 26
 let latency t c = t.latencies.(Iclass.to_index c)
 
 (* Build a latency table from an association list; classes not mentioned
-   get [default]. *)
-let latency_table ?(default = 1) assoc =
-  let table = Array.make Iclass.count default in
+   take 1 cycle. *)
+let latency_table assoc =
+  let table = Array.make Iclass.count 1 in
   List.iter (fun (c, l) -> table.(Iclass.to_index c) <- l) assoc;
   table
 

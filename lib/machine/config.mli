@@ -48,9 +48,8 @@ val default_home_regs : int
 
 val latency : t -> Iclass.t -> int
 
-val latency_table : ?default:int -> (Iclass.t * int) list -> int array
-(** Build a latency table; classes not mentioned get [default]
-    (1 cycle). *)
+val latency_table : (Iclass.t * int) list -> int array
+(** Build a latency table; classes not mentioned take 1 cycle. *)
 
 val make :
   ?issue_width:int ->

@@ -31,7 +31,9 @@ let layout (config : Config.t) instrs =
       })
     instrs
 
-let render ?(max_cycles = 24) (config : Config.t) instrs =
+(* Diagrams show the first 24 base cycles. *)
+let render (config : Config.t) instrs =
+  let max_cycles = 24 in
   let m = config.Config.pipe_degree in
   let rows = layout config instrs in
   let total_minor = max_cycles * m in

@@ -11,7 +11,8 @@
 
 open Ilp_machine
 
-val render : ?max_cycles:int -> Config.t -> Ilp_ir.Instr.t list -> string
+val render : Config.t -> Ilp_ir.Instr.t list -> string
+(** The first 24 base cycles of the straight-line [instrs]. *)
 
 val independent_instrs : ?cls:[ `Int | `Mixed ] -> int -> Ilp_ir.Instr.t list
 (** [n] mutually independent instructions — all integer adds, or a

@@ -17,13 +17,9 @@ type run = {
   sink : Value.t;
 }
 
-let registers_of = function
-  | Some o -> o.Exec.registers
-  | None -> Exec.default_options.Exec.registers
-
 (* Time a bound binary against [config] by replaying its flat trace. *)
-let measure_prepared ?cache ?options (config : Config.t) pr =
-  let timing = Timing.create ?cache ~registers:(registers_of options) config in
+let measure_prepared ?cache (config : Config.t) pr =
+  let timing = Timing.create ?cache config in
   Trace_buffer.run pr timing;
   Timing.finish timing;
   let sm = Trace_buffer.summary pr in
@@ -43,8 +39,8 @@ let measure_prepared ?cache ?options (config : Config.t) pr =
 
 (* Time [program] against [config] by replaying a trace captured from a
    schedule-sibling of it (see Trace_buffer). *)
-let measure_replay ?cache ?options (config : Config.t) trace program =
-  measure_prepared ?cache ?options config (Trace_buffer.bind trace program)
+let measure_replay ?cache (config : Config.t) trace program =
+  measure_prepared ?cache config (Trace_buffer.bind trace program)
 
 let harmonic_mean = function
   | [] -> invalid_arg "Metrics.harmonic_mean: empty list"

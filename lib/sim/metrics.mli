@@ -28,7 +28,6 @@ type run = {
 
 val measure_replay :
   ?cache:Cache.t ->
-  ?options:Exec.options ->
   Config.t ->
   Trace_buffer.t ->
   Ilp_ir.Program.t ->
@@ -36,13 +35,11 @@ val measure_replay :
 (** Time [program] against [config] by replaying a trace captured from
     it or from a schedule-sibling of it (raises
     {!Trace_buffer.Divergence} otherwise).  The program must be fully
-    register-allocated (and normally scheduled for [config]); [options]
-    only contributes the register-file size.  Same as
+    register-allocated (and normally scheduled for [config]).  Same as
     {!measure_prepared} of {!Trace_buffer.bind}. *)
 
 val measure_prepared :
   ?cache:Cache.t ->
-  ?options:Exec.options ->
   Config.t ->
   Trace_buffer.prepared ->
   run

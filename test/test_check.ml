@@ -340,13 +340,17 @@ let test_checked_sweep_identical () =
     | Some w -> w
     | None -> Alcotest.fail "no whet"
   in
-  let configs = [ Presets.base; Presets.superscalar 4 ] in
-  let plain = Ilp_core.Experiments.measure_workload_many w configs in
+  let requests =
+    Array.map
+      (Ilp_core.Experiments.request w)
+      [| Presets.base; Presets.superscalar 4 |]
+  in
+  let plain = Ilp_core.Experiments.run_sweep requests in
   let checked =
     Ilp_core.Experiments.with_checks true (fun () ->
-        Ilp_core.Experiments.measure_workload_many w configs)
+        Ilp_core.Experiments.run_sweep requests)
   in
-  List.iter2
+  Array.iter2
     (fun (a : Ilp_sim.Metrics.run) (b : Ilp_sim.Metrics.run) ->
       Helpers.check_float "same cycles" a.Ilp_sim.Metrics.base_cycles
         b.Ilp_sim.Metrics.base_cycles;

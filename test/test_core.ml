@@ -88,7 +88,7 @@ let test_experiments_registry () =
     (List.length Ilp_core.Experiments.all)
 
 let test_sec5_1_analytic () =
-  let r = Ilp_core.Experiments.sec5_1 () in
+  let r = Ilp_core.Experiments.(measure (sec5_1 ())) in
   Helpers.check_float_rel ~tol:0.01 "33 percent" 33.3
     r.Ilp_core.Experiments.analytic_improvement_with_cache;
   Helpers.check_float "100 percent" 100.0

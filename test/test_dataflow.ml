@@ -1,6 +1,6 @@
-(* The generic dataflow framework's instances (reaching definitions,
-   definite assignment, available expressions, the lint suite on top of
-   them) and the independent register-allocation verifier — including
+(* The generic dataflow framework's instances (definite assignment,
+   available expressions, the lint suite on top of them) and the
+   independent register-allocation verifier — including
    the injected-defect tests: a clobbered live range and a
    use-before-def must each be caught statically, with diagnostics
    naming function, block and instruction. *)
@@ -37,36 +37,6 @@ let diamond_with ~assign_right v =
         Block.make (l "join") [ use; Builder.halt () ] ]
   in
   (f, use)
-
-(* --- reaching definitions ------------------------------------------------ *)
-
-let test_reach_defs_diamond () =
-  let v = Reg.virt () in
-  let f, _ = diamond_with ~assign_right:true v in
-  let cfg = Cfg_info.build f in
-  let sol = Reach_defs.compute cfg in
-  Alcotest.(check int) "two defs of v reach the join" 2
-    (List.length (Reach_defs.reaching_ids sol 3 v));
-  Alcotest.(check int) "no defs of v reach the entry" 0
-    (List.length (Reach_defs.reaching_ids sol 0 v))
-
-let test_reach_defs_kill () =
-  (* a redefinition kills the earlier site within one path *)
-  let v = Reg.virt () in
-  let d1 = Instr.make Opcode.Li ~dst:v ~srcs:[ Instr.Oimm 1 ] in
-  let d2 = Instr.make Opcode.Li ~dst:v ~srcs:[ Instr.Oimm 2 ] in
-  let f =
-    Func.make ~name:"main" ~frame_size:0 ~n_params:0
-      [ Block.make (l "a") [ d1; d2 ];
-        Block.make (l "b")
-          [ Instr.make Opcode.Add ~dst:(r 5)
-              ~srcs:[ Instr.Oreg v; Instr.Oimm 1 ];
-            Builder.halt () ] ]
-  in
-  let sol = Reach_defs.compute (Cfg_info.build f) in
-  Alcotest.(check (list int)) "only the later def survives"
-    [ d2.Instr.id ]
-    (Reach_defs.reaching_ids sol 1 v)
 
 (* --- definite assignment ------------------------------------------------- *)
 
@@ -425,10 +395,7 @@ let test_workload_allocations_verify () =
     Ilp_workloads.Registry.all
 
 let tests =
-  [ Alcotest.test_case "reaching defs on a diamond" `Quick
-      test_reach_defs_diamond;
-    Alcotest.test_case "reaching defs kill" `Quick test_reach_defs_kill;
-    Alcotest.test_case "definite assignment clean" `Quick
+  [ Alcotest.test_case "definite assignment clean" `Quick
       test_def_assign_clean;
     Alcotest.test_case "use-before-def caught statically" `Quick
       test_def_assign_catches_use_before_def;

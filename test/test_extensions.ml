@@ -207,7 +207,7 @@ let test_vector_diagram () =
     List.exists (fun l -> String.length l >= 5 && String.sub l 0 5 = "vload") lines)
 
 let test_vector_equivalence_direction () =
-  let re = Ilp_core.Experiments.sec2_3_vector () in
+  let re = Ilp_core.Experiments.(measure (sec2_3_vector ())) in
   Alcotest.(check bool) "4-issue beats base" true
     (re.Ilp_core.Experiments.superscalar_cycles_per_element
     < re.Ilp_core.Experiments.base_cycles_per_element)

@@ -27,10 +27,11 @@ let first_difference expected actual =
   in
   go 1 (String.split_on_char '\n' expected, String.split_on_char '\n' actual)
 
-(* Run [args] through the CLI and compare its output with [pin]. *)
-let check_output ~pin args () =
-  if not (Sys.file_exists pin) then Alcotest.failf "no pin %s for %s" pin args;
-  let expected = In_channel.with_open_bin pin In_channel.input_all in
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* Run [args] through the CLI and compare its output with [expected],
+   the contents of [pin]. *)
+let check_text ~pin expected args =
   let out = Filename.temp_file "ilp_golden" ".txt" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove out with Sys_error _ -> ())
@@ -39,11 +40,15 @@ let check_output ~pin args () =
         Sys.command (Printf.sprintf "%s %s > %s" cli args (Filename.quote out))
       in
       if status <> 0 then Alcotest.failf "%s exited with status %d" args status;
-      let actual = In_channel.with_open_bin out In_channel.input_all in
+      let actual = read_file out in
       if not (String.equal expected actual) then
         let line, e, a = first_difference expected actual in
         Alcotest.failf "%s differs from %s at line %d:\n  want: %s\n  got:  %s"
           args pin line e a)
+
+let check_output ~pin args () =
+  if not (Sys.file_exists pin) then Alcotest.failf "no pin %s for %s" pin args;
+  check_text ~pin (read_file pin) args
 
 let check_experiment name =
   check_output ~pin:(golden name)
@@ -66,6 +71,15 @@ let test_no_orphans () =
       | _ -> Alcotest.failf "golden/%s pins no experiment" file)
     (Sys.readdir "golden")
 
+(* [--all] joins every experiment's plan into one sweep; its output is
+   still every pin, in [Experiments.all] order, joined by newlines. *)
+let test_all_is_joined_pins () =
+  check_text ~pin:"the joined pins"
+    (String.concat "\n"
+       (List.map (fun (name, _) -> read_file (golden name))
+          Ilp_core.Experiments.all))
+    "experiment --all --jobs 2"
+
 let tests =
   List.map
     (fun (name, _) -> Alcotest.test_case name `Slow (check_experiment name))
@@ -75,4 +89,6 @@ let tests =
         Alcotest.test_case args `Quick
           (check_output ~pin:(Filename.concat "cli" (name ^ ".txt")) args))
       commands
-  @ [ Alcotest.test_case "no orphaned pins" `Quick test_no_orphans ]
+  @ [ Alcotest.test_case "no orphaned pins" `Quick test_no_orphans;
+      Alcotest.test_case "experiment --all = joined pins" `Slow
+        test_all_is_joined_pins ]

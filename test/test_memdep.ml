@@ -245,7 +245,9 @@ let test_smooth_stats () =
    schedule worse with disambiguation on than without, and at least one
    must schedule strictly better, or the analysis buys nothing. *)
 let test_study_never_worse () =
-  let rows = Ilp_core.Experiments.memdep_study () in
+  let rows =
+    Ilp_core.Experiments.(measure (memdep_study ()))
+  in
   List.iter
     (fun (r : Ilp_core.Experiments.memdep_row) ->
       if r.md_disambiguated < r.md_conservative then

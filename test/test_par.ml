@@ -125,8 +125,9 @@ let test_create_beyond_domain_limit () =
 (* ------------------------------------------------------------------ *)
 (* engine determinism: parallel sweeps render byte-identically          *)
 
-let determinism_case (name, render) =
+let determinism_case name =
   Alcotest.test_case ("serial = jobs 1/2/4: " ^ name) `Slow (fun () ->
+      let render = Option.get (Experiments.find name) in
       let serial = Experiments.with_jobs 0 render in
       List.iter
         (fun jobs ->
@@ -137,11 +138,7 @@ let determinism_case (name, render) =
         [ 1; 2; 4 ])
 
 let determinism_tests =
-  List.map determinism_case
-    [ ("fig4_1", Experiments.render_fig4_1);
-      ("fig4_5", Experiments.render_fig4_5);
-      ("ablation_class_conflicts", Experiments.render_ablation_class_conflicts)
-    ]
+  List.map determinism_case [ "fig4_1"; "fig4_5"; "ablation_class_conflicts" ]
 
 (* Cells that differ only in the machine's name are replayed once: in
    Fig. 4-1, superscalar-1 and superpipelined-1 are both the base
@@ -162,6 +159,22 @@ let test_fig4_1_distinct_cells () =
     (List.length
        (List.sort_uniq compare (List.map Experiments.cell_key requests)))
 
+(* [experiment --all] measures the plans of every experiment as one
+   sweep: its 620 cells share 103 captures and 361 replays. *)
+let test_all_plans_share () =
+  let cells =
+    List.concat_map
+      (fun (_, plan) -> Array.to_list (plan ()).Experiments.cells)
+      Experiments.all
+  in
+  let distinct key =
+    List.length (List.sort_uniq compare (List.map key cells))
+  in
+  Alcotest.(check int) "cells" 620 (List.length cells);
+  Alcotest.(check int) "distinct captures" 103
+    (distinct Experiments.capture_key);
+  Alcotest.(check int) "distinct replays" 361 (distinct Experiments.cell_key)
+
 let tests =
   qcheck_tests
   @ [ Alcotest.test_case "pool reuse across batches" `Quick test_pool_reuse;
@@ -176,3 +189,5 @@ let tests =
   @ [ Alcotest.test_case "fig4_1 replays 120 distinct cells" `Quick
         test_fig4_1_distinct_cells ]
   @ determinism_tests
+  @ [ Alcotest.test_case "--all plans share captures and replays" `Quick
+        test_all_plans_share ]

@@ -483,7 +483,7 @@ fun main() {
    only removes remainder-loop work, so the careful-peel curve may not
    fall below the classic careful curve (0.1% slack for rounding). *)
 let test_study_peel_not_below_careful () =
-  let rows = Experiments.unroll_study () in
+  let rows = Experiments.(measure (unroll_study ())) in
   let series name bench =
     List.find_opt
       (fun (r : Experiments.unroll_study_row) ->
